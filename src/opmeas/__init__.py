@@ -10,10 +10,12 @@ from .causality import (
     ChainReport,
     LeakageSeries,
     ScanReport,
+    SingletonTable,
     builtin_model_family,
     inflated_set,
     leakage_scan,
     schlieder_scan,
+    singleton_conditions,
     strong_causality_chain,
 )
 from .effects import (
@@ -59,6 +61,7 @@ from .localization import (
     coherent_state_povm,
     cyclic_distance,
     effect_for,
+    evolve_effect,
     gaussian_fiducial,
     hopping_hamiltonian,
     make_model,

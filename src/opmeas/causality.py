@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import Effect, spectral_projection
+from .effects import spectral_projection
 from .errors import GeometryError, OpmeasError
-from .linalg import eig_hermitian, hermitize, op_norm
+from .linalg import eig_hermitian, op_norm
 from .localization import (
     LatticeModel,
     LocalizationMap,
@@ -39,6 +39,7 @@ from .localization import (
     coherent_state_povm,
     cyclic_distance,
     effect_for,
+    evolve_effect,
     gaussian_fiducial,
     hopping_hamiltonian,
     make_model,
@@ -138,14 +139,6 @@ class ChainReport:
     residuals: tuple[float, float, float] | None
 
 
-def _evolved_effect(lmap: LocalizationMap, sites, t: float) -> Effect:
-    base = effect_of(lmap.base_pom, sites)
-    if t == 0:
-        return base
-    u = propagator(lmap.model, t)
-    return Effect(op=hermitize(u.conj().T @ base.op @ u))
-
-
 def strong_causality_chain(
     lmap: LocalizationMap,
     d1: SpatialSet,
@@ -170,7 +163,7 @@ def strong_causality_chain(
     p1_d1 = spectral_projection(e1, "one")
     if p1_d1.rank == 0:
         return ChainReport(premise_holds=False, chain_holds=True, residuals=None)
-    e1_t = _evolved_effect(lmap, grown.sites, t)
+    e1_t = evolve_effect(lmap.model, effect_of(lmap.base_pom, grown.sites), t)
     p1_grown = spectral_projection(e1_t, "one")
     e2 = effect_for(lmap, d2)
     p0_d2 = spectral_projection(e2, "zero")
@@ -218,6 +211,55 @@ class ScanReport:
         raise KeyError(name)
 
 
+@dataclass(frozen=True)
+class SingletonTable:
+    """Conditions read off the single-site effects of a localization map."""
+
+    rows: tuple[ConditionRow, ConditionRow, ConditionRow]  # covariance, strict, weak
+    max_eigenvalue: float
+    strongly_unsharp: bool
+
+
+def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonTable:
+    """Covariance over all shifts, strict and weak localizability over all
+    disjoint singleton pairs at slice 0, and the largest singleton eigenvalue.
+
+    The map is strongly unsharp when that eigenvalue stays below 1 - tol.
+    """
+    n = lmap.model.n_sites
+    cov_worst, cov_case = 0.0, "shift 0"
+    for a in range(1, n):
+        rep = check_covariance(lmap, a, tol)
+        if rep.residual > cov_worst:
+            cov_worst, cov_case = rep.residual, f"shift {a}"
+
+    strict_worst, strict_case = 0.0, "none"
+    weak_worst, weak_case = 0.0, "none"
+    singles = lmap.base_pom.effects
+    p1s = [spectral_projection(e, "one") for e in singles]
+    p0s = [spectral_projection(e, "zero") for e in singles]
+    eye = np.eye(n, dtype=complex)
+    for x in range(n):
+        for y in range(x + 1, n):
+            s = op_norm(singles[x].op @ singles[y].op)
+            if s > strict_worst:
+                strict_worst, strict_case = s, f"sites {{{x}}},{{{y}}}"
+            w = op_norm(p1s[x].op @ (eye - p0s[y].op))
+            if w > weak_worst:
+                weak_worst, weak_case = w, f"sites {{{x}}},{{{y}}}"
+
+    max_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in singles)
+    return SingletonTable(
+        rows=(
+            ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),
+            ConditionRow("localizability", strict_worst <= tol, strict_worst, strict_case),
+            ConditionRow("weak localizability", weak_worst <= tol, weak_worst, weak_case),
+        ),
+        max_eigenvalue=max_eig,
+        strongly_unsharp=max_eig <= 1.0 - tol,
+    )
+
+
 def _scan_windows(n: int) -> list[tuple[int, ...]]:
     widths = sorted({1, 2, 3, max(1, n // 8), max(1, n // 4)})
     return [tuple(range(w)) for w in widths if w < n]
@@ -251,35 +293,10 @@ def schlieder_scan(
             f"scan horizon {max_t} reaches around the cycle (need max_t*c*tau < {n / 2})"
         )
 
-    # (1) translation covariance, all shifts
-    cov_worst, cov_case = 0.0, "shift 0"
-    for a in range(1, n):
-        rep = check_covariance(lmap, a, tol)
-        if rep.residual > cov_worst:
-            cov_worst, cov_case = rep.residual, f"shift {a}"
-    rows = [
-        ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),
-    ]
+    table = singleton_conditions(lmap, tol)
+    rows = list(table.rows)
 
-    # (2)/(2') localizability over disjoint singleton pairs at slice 0
-    strict_worst, strict_case = 0.0, "none"
-    weak_worst, weak_case = 0.0, "none"
-    singles = [effect_for(lmap, SpatialSet({x})) for x in range(n)]
-    p1s = [spectral_projection(e, "one") for e in singles]
-    p0s = [spectral_projection(e, "zero") for e in singles]
-    eye = np.eye(n, dtype=complex)
-    for x in range(n):
-        for y in range(x + 1, n):
-            s = op_norm(singles[x].op @ singles[y].op)
-            if s > strict_worst:
-                strict_worst, strict_case = s, f"sites {{{x}}},{{{y}}}"
-            w = op_norm(p1s[x].op @ (eye - p0s[y].op))
-            if w > weak_worst:
-                weak_worst, weak_case = w, f"sites {{{x}}},{{{y}}}"
-    rows.append(ConditionRow("localizability", strict_worst <= tol, strict_worst, strict_case))
-    rows.append(ConditionRow("weak localizability", weak_worst <= tol, weak_worst, weak_case))
-
-    # (3) local commutativity on spacelike origin-anchored pairs
+    # local commutativity on spacelike origin-anchored pairs
     comm_worst, comm_case = 0.0, "none"
     origin = SpatialSet({0}, time_slice=0)
     for t in range(0, max_t + 1):
@@ -302,8 +319,6 @@ def schlieder_scan(
         eig_table.append((desc, top))
         if unit_window is None and top > 1.0 - tol:
             unit_window = desc
-    max_singleton_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in singles)
-    strongly_unsharp = max_singleton_eig <= 1.0 - tol
 
     nontrivial = op_norm(model.hamiltonian) > 0.0
 
@@ -325,7 +340,7 @@ def schlieder_scan(
             f"{by_name['local commutativity'].worst_residual:.3e} all within {tol}"
         )
 
-    if strongly_unsharp:
+    if table.strongly_unsharp:
         verdict = "strongly_unsharp"
     elif not by_name["local commutativity"].holds:
         verdict = "commutativity_violated"
@@ -344,7 +359,7 @@ def schlieder_scan(
         nontrivial_dynamics=nontrivial,
         conditions=tuple(rows),
         max_eigenvalues=tuple(eig_table),
-        strongly_unsharp=strongly_unsharp,
+        strongly_unsharp=table.strongly_unsharp,
         unit_window=unit_window,
         verdict=verdict,
         findings=tuple(findings),

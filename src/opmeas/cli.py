@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import builtin_model_family, leakage_scan, schlieder_scan
+from .causality import builtin_model_family, leakage_scan, schlieder_scan, singleton_conditions
 from .effects import is_sharp, is_strongly_unsharp, spectral_projection
 from .ensembles import run_objectivity_trials, run_prop1_trials
 from .errors import OpmeasError
-from .linalg import eig_hermitian, op_norm
-from .localization import SpatialSet, check_covariance
+from .linalg import eig_hermitian
+from .localization import SpatialSet
 from .luders import proposition1_verify
 from .povm import is_commutative
 from .serialize import (
@@ -120,8 +120,8 @@ def cmd_effect_check(cfg: RunConfig) -> int:
         raise OpmeasError("effect-check needs --effect FILE")
     e = effect_from_json(load_json(cfg.effect_path))
     evals = [float(v) for v in eig_hermitian(e.op).eigenvalues]
-    rank1 = spectral_projection(e, "one").rank
-    rank0 = spectral_projection(e, "zero").rank
+    rank1 = spectral_projection(e, "one", cfg.tol).rank
+    rank0 = spectral_projection(e, "zero", cfg.tol).rank
     if is_sharp(e, cfg.tol):
         label = "sharp"
     elif is_strongly_unsharp(e, cfg.tol):
@@ -227,26 +227,13 @@ def cmd_localization_demo(cfg: RunConfig) -> int:
     lmap, povm = build_construction(model_cfg)
     n = lmap.model.n_sites
 
-    cov = max(check_covariance(lmap, a, cfg.tol).residual for a in range(1, n))
-    singles = [lmap.base_pom.effects[x] for x in range(n)]
-    strict = 0.0
-    weak = 0.0
-    eye = np.eye(n, dtype=complex)
-    p1s = [spectral_projection(e, "one") for e in singles]
-    p0s = [spectral_projection(e, "zero") for e in singles]
-    for x in range(n):
-        for y in range(x + 1, n):
-            strict = max(strict, op_norm(singles[x].op @ singles[y].op))
-            weak = max(weak, op_norm(p1s[x].op @ (eye - p0s[y].op)))
+    table = singleton_conditions(lmap, cfg.tol)
+    details = ("max over all shifts", "singleton pairs, strict", "singleton pairs")
+    rows = [[r.condition, r.holds, r.worst_residual, d] for r, d in zip(table.rows, details)]
     base_comm = is_commutative(lmap.base_pom, cfg.tol)
-    max_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in singles)
-
-    rows = [
-        ["covariance", cov <= cfg.tol, cov, "max over all shifts"],
-        ["localizability", strict <= cfg.tol, strict, "singleton pairs, strict"],
-        ["weak localizability", weak <= cfg.tol, weak, "singleton pairs"],
+    rows += [
         ["base commutativity", base_comm.commutative, base_comm.max_commutator, str(base_comm.worst_pair)],
-        ["strong unsharpness", max_eig <= 1 - cfg.tol, max_eig, "max singleton eigenvalue"],
+        ["strong unsharpness", table.strongly_unsharp, table.max_eigenvalue, "max singleton eigenvalue"],
     ]
     if povm is not None:
         pv = is_commutative(povm, cfg.tol)

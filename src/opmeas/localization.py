@@ -157,15 +157,18 @@ def propagator(model: LatticeModel, t: float) -> np.ndarray:
     return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
 
 
+def evolve_effect(model: LatticeModel, e: Effect, t: float) -> Effect:
+    """Heisenberg evolution U(t)† E U(t), U(t) = exp(-iHt tau); E itself at t = 0."""
+    if t == 0:
+        return e
+    u = propagator(model, t)
+    return Effect(op=hermitize(u.conj().T @ e.op @ u))
+
+
 def effect_for(lmap: LocalizationMap, d: SpatialSet) -> Effect:
     """Heisenberg effect of a spatial set at its time slice."""
     _check_sites(lmap.model, d)
-    base = effect_of(lmap.base_pom, d.sites)
-    t = d.time_slice
-    if t == 0:
-        return base
-    u = propagator(lmap.model, t)
-    return Effect(op=hermitize(u.conj().T @ base.op @ u))
+    return evolve_effect(lmap.model, effect_of(lmap.base_pom, d.sites), d.time_slice)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise OpmeasError("matrix JSON needs 'dim' and 'entries'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise OpmeasError(f"bad matrix dim {dim!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim:

@@ -7,10 +7,17 @@ import json
 import numpy as np
 import pytest
 
+from opmeas.causality import schlieder_scan, singleton_conditions
 from opmeas.cli import main
 from opmeas.effects import validate_effect
 from opmeas.povm import build_pom
-from opmeas.serialize import effect_to_json, matrix_to_json, pom_to_json
+from opmeas.serialize import (
+    build_construction,
+    effect_to_json,
+    matrix_to_json,
+    model_config_from_json,
+    pom_to_json,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -57,6 +64,14 @@ def test_effect_check_json_format(effect_file, capsys):
     assert payload["rank_p1"] == 0
 
 
+def test_effect_check_ranks_follow_tol(effect_file, capsys):
+    path = effect_file(np.diag([0.9995, 0.0]))
+    assert main(["effect-check", "--effect", path, "--tol", "1e-3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "sharp"
+    assert (payload["rank_p1"], payload["rank_p0"]) == (1, 1)
+
+
 def test_effect_check_rejects_bad_spectrum(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(matrix_to_json(np.diag([1.5, 0.0])), kind="effect")))
@@ -74,6 +89,12 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     assert main(["luders-verify", "--trials", "0"]) == 1
+    capsys.readouterr()
+    bool_dim = tmp_path / "bool-dim.json"
+    bool_dim.write_text(json.dumps({"dim": True, "entries": [[[0.5, 0.0]]]}))
+    assert main(["effect-check", "--effect", str(bool_dim)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opmeas: error:") and err.count("\n") == 1
 
 
 def test_luders_verify_ensemble_csv_contract(capsys):
@@ -176,6 +197,33 @@ def test_localization_demo_coherent_reports_phase_space(tmp_path, capsys):
     rows = _demo_rows(json.loads(capsys.readouterr().out))
     assert rows["phase-space commutativity"]["holds"] is False
     assert rows["base commutativity"]["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"n_sites": 8, "construction": "sharp"},
+        {"n_sites": 8, "construction": "smeared",
+         "hamiltonian": matrix_to_json(np.zeros((8, 8)))},
+        {"n_sites": 8, "construction": "coherent"},
+    ],
+    ids=["sharp/hopping", "smeared/static", "coherent"],
+)
+def test_localization_demo_rows_equal_schlieder_scan(cfg, tmp_path, capsys):
+    """Both front ends read one singleton-condition table: equal values, bit for bit."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["localization-demo", "--model", str(path), "--format", "json"]) == 0
+    rows = _demo_rows(json.loads(capsys.readouterr().out))
+    lmap, _ = build_construction(model_config_from_json(cfg))
+    report = schlieder_scan(lmap, max_t=1)
+    for name in ("covariance", "localizability", "weak localizability"):
+        scan_row = report.condition_row(name)
+        assert rows[name]["value"] == scan_row.worst_residual
+        assert rows[name]["holds"] == scan_row.holds
+    assert rows["strong unsharpness"]["holds"] == report.strongly_unsharp
+    # the scan reports only the verdict; its eigenvalue comes from the same table
+    assert rows["strong unsharpness"]["value"] == singleton_conditions(lmap).max_eigenvalue
 
 
 def test_causality_scan_single_model(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeas.effects import validate_effect
+from opmeas import ensembles
 from opmeas.ensembles import (
     random_commuting_pom_and_effect,
     random_effect,
@@ -16,7 +17,7 @@ from opmeas.ensembles import (
     trial_rng,
 )
 from opmeas.errors import NotNormalizedError, OpmeasError
-from opmeas.linalg import op_norm
+from opmeas.linalg import op_norm, outer
 from opmeas.luders import (
     LudersInstrument,
     causality_check_C,
@@ -214,6 +215,71 @@ def test_objectivity_examples():
     trivial = build_pom([I2], require_normalized=True)
     rep = objectivity_check(trivial, b_x)
     assert rep.ops_commute and rep.effects_commute and rep.max_order_gap <= 1e-12
+
+
+def _spanning_pure_states(dim: int) -> list[np.ndarray]:
+    """dim**2 pure density matrices spanning the Hermitian matrices.
+
+    Basis states |i>, (|i> + |j>)/sqrt(2), (|i> + i|j>)/sqrt(2): real and
+    imaginary parts of every matrix unit are linear combinations of these,
+    so two linear maps agreeing on all of them agree on every state.
+    """
+    states: list[np.ndarray] = []
+    for i in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        states.append(outer(v))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = np.zeros(dim, dtype=complex)
+            v[i] = 1.0
+            v[j] = 1.0
+            states.append(outer(v / np.sqrt(2.0)))
+            w = np.zeros(dim, dtype=complex)
+            w[i] = 1.0
+            w[j] = 1.0j
+            states.append(outer(w / np.sqrt(2.0)))
+    return states
+
+
+def _reference_order_gap(pom_a, pom_b) -> float:
+    """Plain loop: both compositions on a spanning set of pure states,
+    largest operator-norm difference."""
+    ia = LudersInstrument.from_pom(pom_a)
+    ib = LudersInstrument.from_pom(pom_b)
+    gap = 0.0
+    for ka in ia.kraus:
+        for kb in ib.kraus:
+            for rho in _spanning_pure_states(pom_a.dim):
+                ab = ka @ (kb @ rho @ kb) @ ka
+                ba = kb @ (ka @ rho @ ka) @ kb
+                gap = max(gap, op_norm(ab - ba))
+    return gap
+
+
+def test_objectivity_gap_against_spanning_state_loop(monkeypatch):
+    """On the criterion-03 draws the natural-representation gap gives the
+    loop's verdict and bounds the loop's gap from above.
+
+    Where the operations commute both gaps are rounding noise (6.7e-17
+    against 1.4e-16 on trial 23), so the bound is checked up to a few
+    hundred ulps, far below the tolerance.
+    """
+    tol = 1e-8
+    rounding = 64 * np.finfo(float).eps
+    pairs = []
+
+    def recording_check(pom_a, pom_b, tol):
+        pairs.append((pom_a, pom_b))
+        return objectivity_check(pom_a, pom_b, tol)
+
+    monkeypatch.setattr(ensembles, "objectivity_check", recording_check)
+    records = ensembles.run_objectivity_trials(seed=303, trials=200, dims=(2, 6), tol=tol)
+    assert len(pairs) == len(records) == 200
+    for record, (pom_a, pom_b) in zip(records, pairs):
+        old_gap = _reference_order_gap(pom_a, pom_b)
+        assert record.ops_commute == (old_gap <= tol), (record, old_gap)
+        assert record.max_order_gap >= old_gap - rounding, (record, old_gap)
 
 
 def test_causality_check_examples():

@@ -45,6 +45,7 @@ def test_matrix_round_trip_complex():
         {"dim": 1, "entries": [[["a", 0]]]},  # non-numeric
         {"dim": 0, "entries": []},  # dim < 1
         {"dim": "two", "entries": []},
+        {"dim": True, "entries": [[[0.5, 0.0]]]},  # a bool is not a dimension
         [1, 2, 3],
     ],
 )
