@@ -53,7 +53,8 @@ def zero_hamiltonian(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Cyclic lattice Z_N with a Hamiltonian and light-cone geometry."""
+    """Cyclic lattice Z_N with a Hermitian Hamiltonian (checked here, so
+    ``propagator`` can trust it) and light-cone geometry."""
 
     n_sites: int
     hamiltonian: np.ndarray
@@ -63,6 +64,8 @@ class LatticeModel:
 
     def __post_init__(self):
         h = np.array(as_matrix(self.hamiltonian))
+        if not is_hermitian(h):
+            raise NotHermitianError("Hamiltonian must be Hermitian")
         h.setflags(write=False)
         s = np.array(as_matrix(self.shift))
         s.setflags(write=False)
@@ -84,8 +87,6 @@ def make_model(
     h = hopping_hamiltonian(n_sites) if hamiltonian is None else as_matrix(hamiltonian)
     if h.shape[0] != n_sites:
         raise OpmeasError(f"Hamiltonian dim {h.shape[0]} != n_sites {n_sites}")
-    if not is_hermitian(h):
-        raise NotHermitianError("Hamiltonian must be Hermitian")
     return LatticeModel(
         n_sites=n_sites,
         hamiltonian=h,

@@ -196,6 +196,7 @@ def proposition1_verify(pom: Pom, b: Effect, tol: float = _EQUIV_TOL) -> Prop1Re
     """
     if not pom.normalized:
         raise NotNormalizedError("proposition1_verify requires a normalized POM")
+    require_same_dim(b.op, pom.effects[0].op)
     max_comm = max(commutator_norm(b.op, e.op) for e in pom.effects)
     commute = max_comm <= tol
     instr = LudersInstrument.from_pom(pom)

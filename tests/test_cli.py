@@ -79,7 +79,7 @@ def test_effect_check_rejects_bad_spectrum(tmp_path, capsys):
     assert "outside [0, 1]" in capsys.readouterr().err
 
 
-def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys):
+def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys, pom_file, effect_file):
     assert main(["effect-check", "--effect", str(tmp_path / "nope.json")]) == 1
     capsys.readouterr()
     assert main(["effect-check"]) == 1  # --effect is required input
@@ -95,6 +95,10 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys):
     assert main(["effect-check", "--effect", str(bool_dim)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("opmeas: error:") and err.count("\n") == 1
+    pom_2x2 = pom_file([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    effect_3x3 = effect_file(np.diag([0.2, 0.5, 0.7]), "effect3.json")
+    assert main(["luders-verify", "--pom", pom_2x2, "--effect", effect_3x3]) == 1
+    assert capsys.readouterr().err == "opmeas: error: dimension mismatch: (3, 3) vs (2, 2)\n"
 
 
 def test_luders_verify_ensemble_csv_contract(capsys):

@@ -16,7 +16,7 @@ from opmeas.effects import (
     spectral_projection,
     validate_effect,
 )
-from opmeas.errors import NotHermitianError, SpectrumOutOfRangeError
+from opmeas.errors import NotHermitianError, OpmeasError, SpectrumOutOfRangeError
 from opmeas.linalg import hermitize, op_norm
 
 
@@ -33,6 +33,11 @@ def test_validate_accepts_and_stores_unmodified():
 def test_validate_rejects_nonhermitian():
     with pytest.raises(NotHermitianError):
         validate_effect(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+
+def test_validate_rejects_empty_matrix():
+    with pytest.raises(OpmeasError):
+        validate_effect(np.zeros((0, 0)))
 
 
 def test_validate_rejects_out_of_range_spectrum():

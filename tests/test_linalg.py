@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmeas import linalg
 from opmeas.errors import DimensionMismatchError, OpmeasError, SpectrumOutOfRangeError
 from opmeas.linalg import (
+    _PHASE_EPS,
+    _fix_phases,
     as_matrix,
     commutator_norm,
     dagger,
@@ -20,6 +25,8 @@ from opmeas.linalg import (
     psd_sqrt,
     require_same_dim,
 )
+from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model
+from opmeas.povm import is_commutative
 
 
 def _rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -32,6 +39,8 @@ def test_as_matrix_rejects_nonsquare_and_nonfinite():
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(OpmeasError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(OpmeasError):
+        as_matrix(np.zeros((0, 0)))
 
 
 def test_require_same_dim():
@@ -89,6 +98,72 @@ def test_eigenvector_phase_is_deterministic_and_positive():
     for col in e1.eigenvectors.T:
         lead = col[np.abs(col) > 1e-12][0]
         assert lead.real > 0 and abs(lead.imag) <= 1e-12
+
+
+def _fix_phases_loop(vecs: np.ndarray) -> np.ndarray:
+    """Reference: the per-column loop that the argmax form replaced."""
+    out = np.array(vecs, dtype=complex)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > _PHASE_EPS)
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        out[:, j] = col * (pivot.conj() / abs(pivot))
+    return out
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 32),
+    st.sampled_from(["random", "diagonal", "degenerate", "block"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_fix_phases_matches_loop_bit_for_bit(seed, dim, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        m = _rand_hermitian(rng, dim)
+    elif kind == "diagonal":
+        m = np.diag(rng.standard_normal(dim)).astype(complex)
+    elif kind == "degenerate":
+        q, _ = np.linalg.qr(_rand_hermitian(rng, dim))
+        m = hermitize(q @ np.diag(rng.integers(0, 3, dim).astype(complex)) @ q.conj().T)
+    else:  # leading components of the lower block's eigenvectors are exact zeros
+        m = np.zeros((dim, dim), dtype=complex)
+        k = dim // 2
+        m[:k, :k] = np.diag(rng.integers(0, 2, k).astype(complex))
+        m[k:, k:] = _rand_hermitian(rng, dim - k)
+    _, vecs = np.linalg.eigh(m)
+    got = _fix_phases(vecs)
+    want = _fix_phases_loop(vecs)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wrap every opmeas binding of linalg.<name> so each call is recorded."""
+    original = getattr(linalg, name)
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("opmeas") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_kernels_trust_validated_operands(monkeypatch):
+    m = _rand_hermitian(np.random.default_rng(17), 6)
+    povm = coherent_state_povm(make_model(8), gaussian_fiducial(8))
+    norms = _count_calls(monkeypatch, "op_norm")
+    coercions = _count_calls(monkeypatch, "as_matrix")
+    eig_hermitian(m)
+    assert norms == []  # no Hermiticity SVD inside the eigendecomposition
+    assert not is_commutative(povm).commutative
+    assert norms  # the pair scan's norms pass through the wrappers, so they are live
+    assert coercions == []  # no operand is coerced again inside the pair scan
 
 
 def test_psd_sqrt_2x2_closed_form():

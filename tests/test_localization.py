@@ -7,9 +7,10 @@ import pytest
 from scipy.special import jv
 
 from opmeas.effects import is_strongly_unsharp, spectral_projection
-from opmeas.errors import GeometryError, OpmeasError
+from opmeas.errors import GeometryError, NotHermitianError, OpmeasError
 from opmeas.linalg import eig_hermitian, op_norm
 from opmeas.localization import (
+    LatticeModel,
     LocalizationMap,
     SpatialSet,
     check_covariance,
@@ -67,6 +68,15 @@ def test_make_model_validation():
         make_model(4, light_speed=0.0)
     with pytest.raises(OpmeasError):
         make_model(4, hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex))
+    # the constructor owns the Hermiticity check, so a direct build hits it too
+    with pytest.raises(NotHermitianError, match="Hamiltonian must be Hermitian"):
+        LatticeModel(
+            n_sites=2,
+            hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex),
+            shift=shift_matrix(2),
+            light_speed=1.0,
+            time_step=1.0,
+        )
 
 
 def test_cyclic_distance_wraps():
