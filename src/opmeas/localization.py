@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
 from .effects import TOL_ONE, Effect, spectral_projection
 from .errors import GeometryError, NotHermitianError, OpmeasError
-from .linalg import as_matrix, commutator_norm, eig_hermitian, hermitize, is_hermitian, op_norm
+from .linalg import (
+    HermitianEigen,
+    as_matrix,
+    commutator_norm,
+    eig_hermitian,
+    hermitize,
+    is_hermitian,
+    op_norm,
+)
 from .povm import Pom, build_pom, effect_of
 
 
@@ -71,6 +80,11 @@ class LatticeModel:
         s.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "shift", s)
+
+    @cached_property
+    def spectrum(self) -> HermitianEigen:
+        """Eigendecomposition of H, computed on first use; the frozen model makes it read-only."""
+        return eig_hermitian(self.hamiltonian)
 
 
 def make_model(
@@ -152,8 +166,8 @@ class LocalizationMap:
 
 
 def propagator(model: LatticeModel, t: float) -> np.ndarray:
-    """exp(-i H t tau) via spectral decomposition of H."""
-    eig = eig_hermitian(model.hamiltonian)
+    """exp(-i H t tau) from the model's cached spectrum of H."""
+    eig = model.spectrum
     phases = np.exp(-1j * eig.eigenvalues * (t * model.time_step))
     return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
 

@@ -25,8 +25,8 @@ from opmeas.linalg import (
     psd_sqrt,
     require_same_dim,
 )
-from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model
-from opmeas.povm import is_commutative
+from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, propagator
+from opmeas.povm import build_pom, is_commutative
 
 
 def _rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -164,6 +164,30 @@ def test_kernels_trust_validated_operands(monkeypatch):
     assert not is_commutative(povm).commutative
     assert norms  # the pair scan's norms pass through the wrappers, so they are live
     assert coercions == []  # no operand is coerced again inside the pair scan
+
+
+def test_pair_scan_takes_exact_norms_only_where_a_pair_could_win(monkeypatch):
+    povm = coherent_state_povm(make_model(16), gaussian_fiducial(16))
+    exact = _count_calls(monkeypatch, "commutator_norm")
+    assert not is_commutative(povm).commutative
+    pairs = len(povm) * (len(povm) - 1) // 2
+    assert 0 < len(exact) <= 0.25 * pairs  # a plain loop over the pairs makes 1.0 per pair
+
+
+def test_pair_scan_takes_no_exact_norm_on_a_commuting_pom(monkeypatch):
+    weights = np.random.default_rng(5).uniform(0.0, 1.0, (64, 8))
+    pom = build_pom([np.diag(w).astype(complex) for w in weights / weights.sum(axis=0)], True)
+    exact = _count_calls(monkeypatch, "commutator_norm")
+    assert is_commutative(pom).max_commutator == 0.0
+    assert exact == []  # every Frobenius bound is zero, so no pair can raise the maximum
+
+
+def test_propagator_diagonalizes_h_once_per_model(monkeypatch):
+    model = make_model(8)
+    eigs = _count_calls(monkeypatch, "eig_hermitian")
+    for step in range(10):
+        propagator(model, 0.5 * step)
+    assert len(eigs) == 1
 
 
 def test_psd_sqrt_2x2_closed_form():

@@ -15,7 +15,8 @@ from opmeas.errors import (
     SumExceedsIdentityError,
     UnknownOutcomeError,
 )
-from opmeas.linalg import op_norm
+from opmeas.linalg import commutator_norm, op_norm
+from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, position_marginal
 from opmeas.povm import build_pom, coarse_grain, effect_of, is_commutative, is_sharp_pom
 
 
@@ -135,6 +136,67 @@ def test_is_commutative_reports_worst_pair():
     mixed = build_pom([diag(1, 0) / 2, (I2 + X) / 4], require_normalized=False)
     rep = is_commutative(mixed)
     assert not rep.commutative and rep.worst_pair is not None
+
+
+def _scan_loop(pom):
+    """Reference: every pair through commutator_norm; strict > keeps the first of tied pairs."""
+    worst, worst_pair = 0.0, None
+    for i in range(len(pom)):
+        for j in range(i + 1, len(pom)):
+            c = commutator_norm(pom.effects[i].op, pom.effects[j].op)
+            if c > worst:
+                worst, worst_pair = c, (pom.outcomes[i], pom.outcomes[j])
+    return worst, worst_pair
+
+
+def _assert_scan_matches_loop(pom):
+    worst, worst_pair = _scan_loop(pom)
+    rep = is_commutative(pom, tol=0.0)  # tol 0 reports the worst pair of any nonzero maximum
+    assert rep.max_commutator == worst
+    assert rep.worst_pair == (worst_pair if worst > 0.0 else None)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.sampled_from(["random", "diagonal", "duplicated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_is_commutative_matches_pair_loop_exactly(seed, dim, n_out, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        pom = random_pom(rng, dim, n_out)
+    elif kind == "diagonal":  # commute exactly: every commutator is the zero matrix
+        w = rng.uniform(0.0, 1.0, (n_out, dim))
+        pom = build_pom([np.diag(row).astype(complex) for row in w / w.sum(axis=0)], False)
+    else:  # each effect twice, so equal pairs tie bit for bit
+        half = [e.op / 2 for e in random_pom(rng, dim, (n_out + 1) // 2).effects]
+        pom = build_pom([m for m in half for _ in range(2)][:n_out], False)
+    _assert_scan_matches_loop(pom)
+
+
+def test_is_commutative_matches_pair_loop_below_underflow():
+    # Commutator entries near 1e-171 square to zero, so only the exact norm sees them.
+    a = np.array([[0.5, 1e-170], [1e-170, 0.5]], dtype=complex)
+    pom = build_pom([a, diag(0.3, 0.2)], False)
+    assert is_commutative(pom, tol=0.0).max_commutator > 0.0
+    _assert_scan_matches_loop(pom)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("fiducial", ["gaussian", "random"])
+def test_is_commutative_matches_pair_loop_on_coherent_povms(n, fiducial):
+    model = make_model(n)
+    if fiducial == "gaussian":
+        eta = gaussian_fiducial(n)
+    else:
+        rng = np.random.default_rng(n)
+        eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        eta /= np.linalg.norm(eta)
+    povm = coherent_state_povm(model, eta)
+    _assert_scan_matches_loop(povm)
+    _assert_scan_matches_loop(position_marginal(povm, model).base_pom)
 
 
 def test_coarse_grain_merges_and_preserves_normalization():
