@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import spectral_projection
+from .effects import endpoint_projection, spectral_projection
 from .errors import GeometryError, OpmeasError
-from .linalg import eig_hermitian, op_norm
+from .linalg import eig_hermitian, largest_norm, op_norm, pair_bounds
 from .localization import (
     LatticeModel,
     LocalizationMap,
@@ -233,31 +233,37 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
         if rep.residual > cov_worst:
             cov_worst, cov_case = rep.residual, f"shift {a}"
 
-    strict_worst, strict_case = 0.0, "none"
-    weak_worst, weak_case = 0.0, "none"
-    singles = lmap.base_pom.effects
-    p1s = [spectral_projection(e, "one") for e in singles]
-    p0s = [spectral_projection(e, "zero") for e in singles]
-    eye = np.eye(n, dtype=complex)
-    for x in range(n):
-        for y in range(x + 1, n):
-            s = op_norm(singles[x].op @ singles[y].op)
-            if s > strict_worst:
-                strict_worst, strict_case = s, f"sites {{{x}}},{{{y}}}"
-            w = op_norm(p1s[x].op @ (eye - p0s[y].op))
-            if w > weak_worst:
-                weak_worst, weak_case = w, f"sites {{{x}}},{{{y}}}"
+    # one decomposition per singleton gives P1, P0 and the largest eigenvalue
+    stack = lmap.base_pom.stack
+    eigs = [eig_hermitian(m) for m in stack]
+    p1 = np.array([endpoint_projection(g, "one").op for g in eigs])
+    not_p0 = np.eye(n, dtype=complex) - np.array([endpoint_projection(g, "zero").op for g in eigs])
+    rows, cols = np.triu_indices(n, 1)
 
-    max_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in singles)
+    def case(at: int) -> str:
+        return f"sites {{{rows[at]}}},{{{cols[at]}}}" if at >= 0 else "none"
+
+    strict_worst, strict_at = largest_norm(
+        pair_bounds(stack, stack, _products), lambda p: op_norm(stack[rows[p]] @ stack[cols[p]])
+    )
+    weak_worst, weak_at = largest_norm(
+        pair_bounds(p1, not_p0, _products), lambda p: op_norm(p1[rows[p]] @ not_p0[cols[p]])
+    )
+    max_eig = max(float(g.eigenvalues[-1]) for g in eigs)
     return SingletonTable(
         rows=(
             ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),
-            ConditionRow("localizability", strict_worst <= tol, strict_worst, strict_case),
-            ConditionRow("weak localizability", weak_worst <= tol, weak_worst, weak_case),
+            ConditionRow("localizability", strict_worst <= tol, strict_worst, case(strict_at)),
+            ConditionRow("weak localizability", weak_worst <= tol, weak_worst, case(weak_at)),
         ),
         max_eigenvalue=max_eig,
         strongly_unsharp=max_eig <= 1.0 - tol,
     )
+
+
+def _products(a: np.ndarray, block: np.ndarray, out: np.ndarray, _tmp: np.ndarray) -> np.ndarray:
+    """a B for every matrix B of block, written into out (``pair_bounds``' product)."""
+    return np.matmul(a, block, out=out)
 
 
 def _scan_windows(n: int) -> list[tuple[int, ...]]:
@@ -320,7 +326,7 @@ def schlieder_scan(
         if unit_window is None and top > 1.0 - tol:
             unit_window = desc
 
-    nontrivial = op_norm(model.hamiltonian) > 0.0
+    nontrivial = bool(np.any(model.hamiltonian))
 
     by_name = {r.condition: r for r in rows}
     findings: list[str] = []
@@ -370,8 +376,13 @@ def builtin_model_family(sizes=(8, 16, 32)) -> list[tuple[str, LocalizationMap]]
     """The stock sweep: {sharp, smeared, coherent-marginal} x {static, hopping} x sizes."""
     family = []
     for n in sizes:
-        for ham_name, ham in (("static", zero_hamiltonian(n)), ("hopping", hopping_hamiltonian(n))):
-            model = make_model(n, hamiltonian=ham)
+        models = {
+            "static": make_model(n, hamiltonian=zero_hamiltonian(n)),
+            "hopping": make_model(n, hamiltonian=hopping_hamiltonian(n)),
+        }
+        # the POVM depends on n and the fiducial only, so both dynamics share it
+        povm = coherent_state_povm(models["static"], gaussian_fiducial(n))
+        for ham_name, model in models.items():
             family.append((f"sharp/{ham_name}/N={n}", sharp_position_map(model)))
             family.append(
                 (
@@ -379,7 +390,6 @@ def builtin_model_family(sizes=(8, 16, 32)) -> list[tuple[str, LocalizationMap]]
                     smeared_position_map(model, three_point_kernel(n)),
                 )
             )
-            povm = coherent_state_povm(model, gaussian_fiducial(n))
             family.append(
                 (f"coherent-marginal/{ham_name}/N={n}", position_marginal(povm, model))
             )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotHermitianError, SpectrumOutOfRangeError
-from .linalg import TOL_HERM, TOL_PSD, as_matrix, eig_hermitian, op_norm
+from .linalg import TOL_HERM, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian, op_norm
 
 # Clustering tolerance for "eigenvalue equal to 1" / "equal to 0".  Looser
 # than TOL_EIG on purpose: the physically meaningful question is proximity
@@ -97,22 +97,30 @@ def spectral_projection(e: Effect, which: Literal["one", "zero"], tol: float = T
     """
     if which not in ("one", "zero"):
         raise ValueError("which must be 'one' or 'zero'")
-    eig = eig_hermitian(e.op)
+    return endpoint_projection(eig_hermitian(e.op), which, tol)
+
+
+def endpoint_projection(
+    eig: HermitianEigen, which: Literal["one", "zero"], tol: float = TOL_ONE
+) -> Projection:
+    """``spectral_projection`` of an effect from its eigendecomposition, so
+    one decomposition serves both endpoints."""
     target = 1.0 if which == "one" else 0.0
-    mask = np.abs(eig.eigenvalues - target) <= tol
-    if not mask.any():
-        return Projection(op=np.zeros((e.dim, e.dim), dtype=complex))
-    v = eig.eigenvectors[:, mask]
-    return Projection(op=linalg.hermitize(v @ v.conj().T))
+    return _span(eig, np.abs(eig.eigenvalues - target) <= tol)
 
 
 def range_projection(e: Effect, tol: float = TOL_ONE) -> Projection:
     """Projection onto the closure of the range: span of eigenvectors with
     eigenvalue above tol.  Coincides with I minus the eigenvalue-0 projection."""
     eig = eig_hermitian(e.op)
-    mask = eig.eigenvalues > tol
+    return _span(eig, eig.eigenvalues > tol)
+
+
+def _span(eig: HermitianEigen, mask: np.ndarray) -> Projection:
+    """Projection onto the eigenvectors that mask selects; zero when it selects none."""
     if not mask.any():
-        return Projection(op=np.zeros((e.dim, e.dim), dtype=complex))
+        d = len(mask)
+        return Projection(op=np.zeros((d, d), dtype=complex))
     v = eig.eigenvectors[:, mask]
     return Projection(op=linalg.hermitize(v @ v.conj().T))
 

@@ -9,11 +9,17 @@ here, called by the validators, the wrapper-type constructors and the JSON
 loaders.  The kernels (``op_norm``, ``commutator``, ``commutator_norm``,
 ``eig_hermitian``, ``psd_sqrt``) trust their square complex operands, and a
 public entry point taking two operands checks that their dimensions agree.
+
+Operator families are ``(K, d, d)`` stacks.  ``frobenius_norms`` bounds the
+operator norm of every matrix of a stack at once, ``pair_bounds`` does so for
+the products of every pair of a family, and ``largest_norm`` then takes exact
+norms only where a matrix could still be the largest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +33,16 @@ TOL_PSD = 1e-9
 # Threshold below which an eigenvector component is treated as zero when
 # fixing the overall phase.
 _PHASE_EPS = 1e-12
+
+# Relative slack on a Frobenius bound before it may prune.  A bound and the
+# exact norm of the same matrix round apart by about d * 2**-52 relative, which
+# this margin covers with room to spare.
+BOUND_MARGIN = 1e-8
+# Squares of entries below 2**-511 underflow, so a smaller sum of squares may
+# have lost part of itself and bounds nothing.
+_TRUSTED_SQUARES = 2.0**-900
+# Complex entries per block of a stacked pass (1 MiB per temporary).
+BLOCK_ENTRIES = 1 << 16
 
 
 def as_matrix(m) -> np.ndarray:
@@ -42,12 +58,14 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Adjoint of a matrix, or of every matrix of a (K, d, d) stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2; used to scrub rounding skew after products."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m†)/2, of a matrix or of each matrix of a stack;
+    used to scrub rounding skew after products."""
+    return (m + dagger(m)) / 2
 
 
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -124,6 +142,76 @@ def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
 def op_norm(m: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value."""
     return float(np.linalg.norm(m, 2))
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (K, d, d) stack, an upper bound on its operator norm.
+
+    A nonzero matrix whose sum of squares is below ``_TRUSTED_SQUARES`` gets an
+    infinite bound, so a zero bound means an exactly zero matrix.
+    """
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
+    parts = flat.view(np.float64)
+    squares = np.einsum("ij,ij->i", parts, parts)
+    squares[(squares < _TRUSTED_SQUARES) & flat.any(axis=1)] = np.inf
+    return np.sqrt(squares)
+
+
+def pair_bounds(
+    left: np.ndarray,
+    right: np.ndarray,
+    product: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Frobenius norms of product(left[x], right[y]) over x < y, in row-major order.
+
+    ``product(a, block, out, tmp)`` writes the products of the matrix a with
+    every matrix of the stack block into out and returns it; tmp is scratch
+    of out's shape.  Both are slices of two buffers of at most
+    ``BLOCK_ENTRIES`` entries, reused for every block, so the pass holds
+    2 MiB besides the bounds whatever the size of the family.  A row whose
+    left[x] is zero takes no product: its bounds are set to zero, which
+    assumes that product is zero when a is.
+    """
+    k, d, _ = left.shape
+    step = max(1, BLOCK_ENTRIES // (d * d))
+    out = np.empty((min(step, k), d, d), dtype=complex)
+    tmp = np.empty_like(out)
+    # empty, not zeros: with glibc, a calloc'ed vector here left the heap laid
+    # out so that the family-sweep benchmark peaked 11 MiB higher
+    bounds = np.empty(k * (k - 1) // 2)
+    start = 0
+    for x in range(k - 1):
+        if not left[x].any():
+            bounds[start : start + k - x - 1] = 0.0
+            start += k - x - 1
+            continue
+        for y in range(x + 1, k, step):
+            block = right[y : y + step]
+            m = len(block)
+            bounds[start : start + m] = frobenius_norms(product(left[x], block, out[:m], tmp[:m]))
+            start += m
+    return bounds
+
+
+def largest_norm(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int]:
+    """Largest ``exact(p)`` over the indices p of ``bounds``, where ``bounds[p]``
+    is an upper bound on ``exact(p)``.
+
+    ``exact`` runs in order of descending bound and stops at the first bound
+    that is zero or that, inflated by ``BOUND_MARGIN`` for rounding, is below
+    the running maximum.  The maximum is therefore the one a plain loop over
+    every index would find, bit for bit.  Returns it with the first index that
+    attains it (ties go to the first index, as with the loop's strict ``>``),
+    or ``(0.0, -1)`` when every value is zero.
+    """
+    worst, worst_at = 0.0, -1
+    for p in np.argsort(bounds)[::-1]:
+        if bounds[p] == 0.0 or bounds[p] * (1 + BOUND_MARGIN) < worst:
+            break
+        value = exact(p)
+        if value > worst or (value == worst and p < worst_at):
+            worst, worst_at = value, int(p)
+    return worst, worst_at
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

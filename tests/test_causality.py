@@ -8,25 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from opmeas import causality
 from opmeas.causality import (
+    ConditionRow,
     builtin_model_family,
     inflated_set,
     leakage_scan,
     schlieder_scan,
+    singleton_conditions,
     strong_causality_chain,
 )
+from opmeas.effects import spectral_projection
+from opmeas.ensembles import random_pom, random_projective_pom
 from opmeas.errors import GeometryError, OpmeasError
+from opmeas.linalg import eig_hermitian, op_norm
 from opmeas.localization import (
+    LocalizationMap,
     SpatialSet,
+    check_covariance,
     coherent_state_povm,
     gaussian_fiducial,
     make_model,
     position_marginal,
     sharp_position_map,
+    shift_matrix,
     smeared_position_map,
     three_point_kernel,
     zero_hamiltonian,
 )
+from opmeas.povm import build_pom
 
 
 def hopping_map(n):
@@ -220,3 +230,108 @@ def test_family_consistency_assertion_never_fires():
     for label, lmap in builtin_model_family(sizes=(8, 16)):
         rep = schlieder_scan(lmap, max_t=2, label=label)
         assert rep.findings == (), f"{label}: {rep.findings}"
+
+
+def test_builtin_model_family_builds_each_coherent_povm_once(monkeypatch):
+    built = []
+
+    def counting(model, fiducial):
+        built.append(model.n_sites)
+        return coherent_state_povm(model, fiducial)
+
+    monkeypatch.setattr(causality, "coherent_state_povm", counting)
+    family = dict(builtin_model_family(sizes=(4, 6)))
+    assert built == [4, 6]  # static and hopping marginals share their size's POVM
+    static, hopping = family["coherent-marginal/static/N=6"], family["coherent-marginal/hopping/N=6"]
+    assert np.array_equal(static.base_pom.stack, hopping.base_pom.stack)
+    assert static.model.n_sites == hopping.model.n_sites == 6
+
+
+def _check_covariance_loop(lmap, a, tol=1e-12):
+    """Reference: conjugate each singleton by the a-fold shift matrix, one SVD per site."""
+    n = lmap.model.n_sites
+    ta = np.linalg.matrix_power(shift_matrix(n), a % n)
+    worst = 0.0
+    for x in range(n):
+        shifted = ta @ lmap.base_pom.effects[x].op @ ta.conj().T
+        worst = max(worst, op_norm(shifted - lmap.base_pom.effects[(x + a) % n].op))
+    return worst <= tol, worst
+
+
+def _singleton_conditions_loop(lmap, tol=1e-8):
+    """Reference: every shift and every singleton pair in turn, three decompositions per site."""
+    n = lmap.model.n_sites
+    cov_worst, cov_case = 0.0, "shift 0"
+    for a in range(1, n):
+        _, residual = _check_covariance_loop(lmap, a, tol)
+        if residual > cov_worst:
+            cov_worst, cov_case = residual, f"shift {a}"
+    strict_worst, strict_case = 0.0, "none"
+    weak_worst, weak_case = 0.0, "none"
+    singles = lmap.base_pom.effects
+    p1s = [spectral_projection(e, "one") for e in singles]
+    p0s = [spectral_projection(e, "zero") for e in singles]
+    eye = np.eye(n, dtype=complex)
+    for x in range(n):
+        for y in range(x + 1, n):
+            s = op_norm(singles[x].op @ singles[y].op)
+            if s > strict_worst:
+                strict_worst, strict_case = s, f"sites {{{x}}},{{{y}}}"
+            w = op_norm(p1s[x].op @ (eye - p0s[y].op))
+            if w > weak_worst:
+                weak_worst, weak_case = w, f"sites {{{x}}},{{{y}}}"
+    max_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in singles)
+    rows = (
+        ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),
+        ConditionRow("localizability", strict_worst <= tol, strict_worst, strict_case),
+        ConditionRow("weak localizability", weak_worst <= tol, weak_worst, weak_case),
+    )
+    return rows, max_eig, max_eig <= 1.0 - tol
+
+
+def _assert_singletons_match_loops(lmap, tol=1e-8):
+    table = singleton_conditions(lmap, tol)
+    assert (table.rows, table.max_eigenvalue, table.strongly_unsharp) == _singleton_conditions_loop(
+        lmap, tol
+    )
+    for a in range(-1, lmap.model.n_sites + 1):
+        assert tuple(check_covariance(lmap, a, tol)) == _check_covariance_loop(lmap, a, tol)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["random", "projective", "duplicated", "broken", "covariant"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_singleton_conditions_match_loops_exactly(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":  # no symmetry at all
+        effects = [e.op for e in random_pom(rng, n, n).effects]
+    elif kind == "projective":  # unit eigenvalues, so the weak row has projections to compare
+        effects = [e.op for e in random_projective_pom(rng, n, int(rng.integers(1, n + 1))).effects]
+        effects += [np.zeros((n, n), dtype=complex)] * (n - len(effects))
+    elif kind == "duplicated":  # equal effects make exactly tied pairs and shifts
+        half = [e.op / 2 for e in random_pom(rng, n, (n + 1) // 2).effects]
+        effects = [m for m in half for _ in range(2)][:n]
+    else:  # smeared by a random kernel: covariant exactly, or broken at two sites
+        k = rng.uniform(0.0, 1.0, n)
+        k /= k.sum()
+        effects = [np.diag([k[(x - y) % n] for y in range(n)]).astype(complex) for x in range(n)]
+        if kind == "broken":  # swap two sites, and shrink one by about the tolerance
+            x = int(rng.integers(n))
+            effects[x], effects[(x + 1) % n] = effects[(x + 1) % n], effects[x]
+            effects[x] = effects[x] * (1 - rng.uniform(0.0, 2e-8))
+    lmap = LocalizationMap(base_pom=build_pom(effects, require_normalized=False), model=make_model(n))
+    _assert_singletons_match_loops(lmap)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_singleton_conditions_match_loops_on_builtin_maps(n):
+    for _, lmap in builtin_model_family(sizes=(n,))[3:]:  # the hopping half: same POMs as static
+        _assert_singletons_match_loops(lmap)
+    rng = np.random.default_rng(n)
+    eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    model = make_model(n)
+    povm = coherent_state_povm(model, eta / np.linalg.norm(eta))
+    _assert_singletons_match_loops(position_marginal(povm, model))

@@ -22,10 +22,21 @@ from opmeas.linalg import (
     is_hermitian,
     op_norm,
     outer,
+    pair_bounds,
     psd_sqrt,
     require_same_dim,
 )
-from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, propagator
+from opmeas.causality import singleton_conditions
+from opmeas.localization import (
+    check_covariance,
+    coherent_state_povm,
+    gaussian_fiducial,
+    make_model,
+    propagator,
+    sharp_position_map,
+    smeared_position_map,
+    three_point_kernel,
+)
 from opmeas.povm import build_pom, is_commutative
 
 
@@ -180,6 +191,55 @@ def test_pair_scan_takes_no_exact_norm_on_a_commuting_pom(monkeypatch):
     exact = _count_calls(monkeypatch, "commutator_norm")
     assert is_commutative(pom).max_commutator == 0.0
     assert exact == []  # every Frobenius bound is zero, so no pair can raise the maximum
+
+
+def test_singleton_scan_on_the_sharp_map_takes_no_exact_norm(monkeypatch):
+    lmap = sharp_position_map(make_model(32))
+    norms = _count_calls(monkeypatch, "op_norm")
+    eigs = _count_calls(monkeypatch, "eig_hermitian")
+    table = singleton_conditions(lmap)
+    assert all(row.holds and row.worst_residual == 0.0 for row in table.rows)
+    assert norms == []  # every gap and product is exactly zero (1,984 norms for a plain loop)
+    assert len(eigs) == 32  # one decomposition per singleton (96 when each projection decomposes)
+
+
+def test_build_pom_takes_no_exact_norm_but_the_deficit(monkeypatch):
+    model, eta = make_model(16), gaussian_fiducial(16)
+    norms = _count_calls(monkeypatch, "op_norm")
+    assert len(coherent_state_povm(model, eta)) == 256
+    assert len(norms) <= 1  # the normalization deficit (257 with one Hermiticity SVD per effect)
+
+
+def test_covariance_check_on_a_covariant_map_takes_no_exact_norm(monkeypatch):
+    lmap = smeared_position_map(make_model(16), three_point_kernel(16))
+    norms = _count_calls(monkeypatch, "op_norm")
+    assert all(check_covariance(lmap, a).residual == 0.0 for a in range(16))
+    assert norms == []  # every rolled gap is exactly zero, so its bound is too
+
+
+@pytest.mark.parametrize("commutators", [False, True])
+def test_pair_bounds_match_plain_products_across_blocks(commutators):
+    # d = 64 puts 16 matrices in a block, so rows of 39 pairs span three blocks
+    rng = np.random.default_rng(23)
+    left = np.array([_rand_hermitian(rng, 64) for _ in range(40)])
+    right = np.array([_rand_hermitian(rng, 64) for _ in range(40)])
+    left[[0, 7]] = 0.0  # zero rows take no product
+
+    def plain(a, b):
+        return a @ b - b @ a if commutators else a @ b
+
+    def product(a, block, out, tmp):
+        np.matmul(a, block, out=out)
+        if commutators:
+            out -= np.matmul(block, a, out=tmp)
+        return out
+
+    rows, cols = np.triu_indices(40, 1)
+    bounds = pair_bounds(left, right, product)
+    expected = [np.linalg.norm(plain(left[x], right[y])) for x, y in zip(rows, cols)]
+    assert bounds.shape == (40 * 39 // 2,)
+    assert np.allclose(bounds, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(bounds == 0.0, np.isin(rows, [0, 7]))
 
 
 def test_propagator_diagonalizes_h_once_per_model(monkeypatch):

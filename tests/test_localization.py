@@ -73,7 +73,6 @@ def test_make_model_validation():
         LatticeModel(
             n_sites=2,
             hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex),
-            shift=shift_matrix(2),
             light_speed=1.0,
             time_step=1.0,
         )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmeas.effects import Effect, validate_effect
 from opmeas.ensembles import random_pom, random_projective_pom, trial_rng
 from opmeas.errors import (
     InvalidEffectError,
@@ -15,7 +16,7 @@ from opmeas.errors import (
     SumExceedsIdentityError,
     UnknownOutcomeError,
 )
-from opmeas.linalg import commutator_norm, op_norm
+from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm
 from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, position_marginal
 from opmeas.povm import build_pom, coarse_grain, effect_of, is_commutative, is_sharp_pom
 
@@ -57,6 +58,159 @@ def test_build_requires_normalization_when_asked():
 def test_build_rejects_duplicate_labels():
     with pytest.raises(OpmeasError):
         build_pom([diag(0.5, 0.5), diag(0.5, 0.5)], require_normalized=True, outcomes=["a", "a"])
+
+
+def _build_pom_loop(effects, require_normalized, outcomes=None, tol=1e-9):
+    """Reference: validate_effect on every entry in turn, then the dimensions,
+    then the sum; returns (labels, validated ops, normalized)."""
+    validated = []
+    for i, raw in enumerate(effects):
+        m = raw.op if isinstance(raw, Effect) else raw
+        try:
+            validated.append(validate_effect(m, tol))
+        except OpmeasError as exc:
+            raise InvalidEffectError(i, exc) from exc
+    dim = validated[0].dim
+    for i, e in enumerate(validated):
+        if e.dim != dim:
+            raise InvalidEffectError(i, OpmeasError(f"dim {e.dim} != {dim}"))
+    total = np.zeros((dim, dim), dtype=complex)
+    for e in validated:
+        total = total + e.op
+    slack = eig_hermitian(np.eye(dim, dtype=complex) - hermitize(total)).eigenvalues
+    if slack[0] < -tol:
+        raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[0]:.3e}")
+    deficit = op_norm(total - np.eye(dim, dtype=complex))
+    if require_normalized and deficit > TOL_EIG:
+        raise NotNormalizedError(f"effect sum differs from identity by {deficit:.3e}")
+    labels = tuple(range(len(validated))) if outcomes is None else tuple(outcomes)
+    return labels, [e.op for e in validated], deficit <= TOL_EIG
+
+
+def _outcome(build, effects, require_normalized):
+    try:
+        return build(effects, require_normalized)
+    except OpmeasError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+
+
+def _assert_build_matches_loop(effects, require_normalized=False):
+    got = _outcome(build_pom, effects, require_normalized)
+    want = _outcome(_build_pom_loop, effects, require_normalized)
+    if isinstance(want[0], type):  # the loop raised: same type, index and message
+        assert got == want
+        return
+    labels, ops, normalized = want
+    assert (got.outcomes, got.normalized) == (labels, normalized)
+    assert got.stack.shape == (len(ops),) + ops[0].shape
+    for e, m in zip(got.effects, ops):
+        assert np.array_equal(e.op.view(np.uint8), m.view(np.uint8))
+
+
+_FAULTS = ("above one", "below zero", "not hermitian", "not finite", "wrong dim", "not square")
+
+
+def _faulty(rng, dim, fault):
+    m = np.diag(rng.uniform(0.0, 1.0 / 8, dim)).astype(complex)
+    if fault == "above one":
+        m[0, 0] = 1.0 + 10.0 ** rng.uniform(-9.5, 0)
+    elif fault == "below zero":
+        m[0, 0] = -(10.0 ** rng.uniform(-9.5, 0))
+    elif fault == "not hermitian":
+        m[0, -1] += 10.0 ** rng.uniform(-10, -1) if dim > 1 else 1e-3j
+    elif fault == "not finite":
+        m[-1, 0] = rng.choice([np.nan, np.inf, -np.inf])
+    elif fault == "wrong dim":
+        m = np.eye(dim + 1, dtype=complex) / 8
+    else:
+        m = np.zeros((dim, dim + 1), dtype=complex)
+    return m
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_FAULTS)), max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_build_pom_matches_entry_loop(seed, dim, k, faults, as_array):
+    rng = np.random.default_rng(seed)
+    effects = [e.op for e in random_pom(rng, dim, k).effects]
+    for pos, fault in faults:
+        effects[pos % k] = _faulty(rng, dim, fault)
+    if as_array and not faults:
+        effects = np.array(effects)
+    _assert_build_matches_loop(effects, require_normalized=not faults)
+    _assert_build_matches_loop(effects)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        ["above one", "not hermitian"],  # a non-Hermitian entry after an out-of-range one
+        ["not hermitian", "below zero"],
+        ["below zero", "wrong dim"],  # a dimension mismatch after an invalid entry
+        ["wrong dim", "above one"],  # every entry is checked before the dimensions are
+        ["not finite", "above one"],
+        ["above one", "not square"],
+        ["wrong dim"],
+    ],
+)
+def test_build_pom_mixed_faults_raise_as_the_loop(faults):
+    rng = np.random.default_rng(11)
+    effects = [e.op / 2 for e in random_pom(rng, 3, 6).effects]
+    for pos, fault in zip((1, 4), faults):
+        effects[pos] = _faulty(rng, 3, fault)
+    with pytest.raises(InvalidEffectError) as exc:
+        build_pom(effects, require_normalized=False)
+    assert (exc.value.index, str(exc.value)) == _outcome(_build_pom_loop, effects, False)[1:]
+
+
+def test_build_pom_screens_in_blocks_and_finds_the_first_fault():
+    # 300 effects of dimension 16 span two blocks; the faults sit in the second
+    effects = [np.eye(16, dtype=complex) / 300] * 300
+    effects[299] = np.diag(np.r_[2.0, np.zeros(15)]).astype(complex)
+    effects[280] = np.eye(16, dtype=complex) / 300 + 1e-3 * np.eye(16, k=1)
+    # a false alarm first: ||E - E†|| is 0.9e-10, within TOL_HERM, but its Frobenius norm is not
+    effects[270] = np.eye(16, dtype=complex) / 300
+    effects[270][0, 1] += 0.9e-10
+    _assert_build_matches_loop(effects)
+    effects[280] = effects[0]
+    _assert_build_matches_loop(effects)
+
+
+@pytest.mark.parametrize("edge", [-1e-9, 1 + 1e-9])
+def test_build_pom_spectrum_edges_match_the_loop(edge):
+    # the screen's eigenvalues are the validator's bit for bit, so the last ulp decides alike
+    for value in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+        _assert_build_matches_loop([diag(0.25, 0.25), diag(value, 0.5), diag(0.25, 0.25)])
+
+
+def test_build_pom_reads_eigh_as_a_plain_tuple(monkeypatch):
+    # NumPy before 2.0 returns eigh's result as a plain tuple, without field names
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: tuple(eigh(a)))
+    pom = build_pom(np.array([diag(0.5, 0.25), diag(0.5, 0.75)]), require_normalized=True)
+    assert pom.normalized and len(pom) == 2
+
+
+def test_pom_keeps_one_read_only_stack():
+    for writable in (True, False):
+        stack = np.array([diag(1, 0), diag(0, 1)], dtype=complex)
+        stack.setflags(write=writable)
+        pom = build_pom(stack, require_normalized=True)
+        effect = validate_effect(stack[0])
+        stack.setflags(write=True)  # whoever owns an array may make it writable again
+        stack[0] = diag(0.5, 0.5)
+        # the caller's array stays the caller's, read-only or not
+        assert np.array_equal(pom.stack[0], diag(1, 0)) and not pom.stack.flags.writeable
+        assert np.array_equal(effect.op, diag(1, 0))
+    # the effects are read-only views into the POM's own stack
+    assert all(np.shares_memory(e.op, pom.stack) for e in pom.effects)
+    with pytest.raises(ValueError):
+        pom.effects[0].op[0, 0] = 0.0
 
 
 def test_effect_of_full_set_and_empty_set():
