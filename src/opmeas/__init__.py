@@ -22,7 +22,6 @@ from .effects import (
     Effect,
     Projection,
     annihilation_equivalence,
-    complement,
     is_sharp,
     is_strongly_unsharp,
     range_projection,
@@ -57,7 +56,6 @@ from .localization import (
     SpatialSet,
     check_covariance,
     check_local_commutativity,
-    check_localizability,
     coherent_state_povm,
     cyclic_distance,
     effect_for,
@@ -79,16 +77,11 @@ from .luders import (
     State,
     causality_check_C,
     heisenberg_dual,
-    luders_channel,
-    luders_selective,
-    maximally_mixed,
     nondisturbance,
     objectivity_check,
     proposition1_verify,
-    pure_state,
-    validate_state,
 )
-from .povm import Pom, build_pom, coarse_grain, effect_of, is_commutative, is_sharp_pom
+from .povm import Pom, build_pom, effect_of, is_commutative, is_sharp_pom
 from .serialize import (
     ModelConfig,
     build_construction,
@@ -111,7 +104,7 @@ __all__ = [
     "builtin_model_family", "inflated_set", "leakage_scan", "schlieder_scan",
     "singleton_conditions", "strong_causality_chain",
     # effects
-    "Effect", "Projection", "annihilation_equivalence", "complement", "is_sharp",
+    "Effect", "Projection", "annihilation_equivalence", "is_sharp",
     "is_strongly_unsharp", "range_projection", "spectral_projection", "validate_effect",
     # errors
     "DimensionMismatchError", "GeometryError", "InvalidEffectError",
@@ -122,17 +115,16 @@ __all__ = [
     "hermitize", "is_hermitian", "op_norm", "psd_sqrt",
     # localization
     "LatticeModel", "LocalizationMap", "SpatialSet", "check_covariance",
-    "check_local_commutativity", "check_localizability", "coherent_state_povm",
-    "cyclic_distance", "effect_for", "evolve_effect", "gaussian_fiducial",
-    "hopping_hamiltonian", "make_model", "position_marginal", "propagator",
-    "sharp_position_map", "shift_matrix", "smeared_position_map", "spacelike_separated",
+    "check_local_commutativity", "coherent_state_povm", "cyclic_distance",
+    "effect_for", "evolve_effect", "gaussian_fiducial", "hopping_hamiltonian",
+    "make_model", "position_marginal", "propagator", "sharp_position_map",
+    "shift_matrix", "smeared_position_map", "spacelike_separated",
     "three_point_kernel", "zero_hamiltonian",
     # luders
     "LudersInstrument", "State", "causality_check_C", "heisenberg_dual",
-    "luders_channel", "luders_selective", "maximally_mixed", "nondisturbance",
-    "objectivity_check", "proposition1_verify", "pure_state", "validate_state",
+    "nondisturbance", "objectivity_check", "proposition1_verify",
     # povm
-    "Pom", "build_pom", "coarse_grain", "effect_of", "is_commutative", "is_sharp_pom",
+    "Pom", "build_pom", "effect_of", "is_commutative", "is_sharp_pom",
     # serialize
     "ModelConfig", "build_construction", "build_model", "effect_from_json",
     "effect_to_json", "matrix_from_json", "matrix_to_json", "model_config_from_json",

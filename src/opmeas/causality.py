@@ -83,12 +83,9 @@ class LeakageSeries:
 
     times: np.ndarray
     leakage: np.ndarray
-    lmap: LocalizationMap
-    phi: np.ndarray
-    base_set: SpatialSet
 
     def __post_init__(self):
-        for name in ("times", "leakage", "phi"):
+        for name in ("times", "leakage"):
             a = np.asarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -129,7 +126,7 @@ def leakage_scan(
         e = effect_of(lmap.base_pom, grown.sites).op
         vt = propagator(model, float(t)) @ v
         out[i] = 1.0 - float(np.real(vt.conj() @ e @ vt))
-    return LeakageSeries(times=ts, leakage=out, lmap=lmap, phi=v, base_set=d)
+    return LeakageSeries(times=ts, leakage=out)
 
 
 @dataclass(frozen=True)

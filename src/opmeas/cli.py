@@ -7,6 +7,10 @@ Four subcommands::
     opmeas localization-demo  --model FILE         condition table for a map
     opmeas causality-scan     [--model FILE]       combined scan (+ leakage)
 
+Each takes --tol, --format and --out; luders-verify, the one that draws
+random ensembles, also takes --seed, --trials and --dims, and
+causality-scan takes --t-max.
+
 Exit codes: 0 = success, 1 = input error, 2 = finding (an equivalence
 counterexample or a consistency-assertion violation).  Output is fully
 deterministic for fixed flags — all randomness is derived from --seed via
@@ -21,9 +25,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,27 +50,6 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FINDING = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    trials: int = 200
-    dims: tuple[int, int] = (2, 6)
-    tol: float = 1e-8
-    fmt: str = "text"
-    out: str | None = None
-    model: str | None = None
-    t_max: int | None = None
-    effect_path: str | None = None
-    pom_path: str | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise OpmeasError("--trials must be at least 1")
-        if self.tol <= 0:
-            raise OpmeasError("--tol must be positive")
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -103,8 +86,11 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OpmeasError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -115,7 +101,7 @@ def _json_text(obj) -> str:
 # effect-check
 
 
-def cmd_effect_check(cfg: RunConfig) -> int:
+def cmd_effect_check(cfg: argparse.Namespace) -> int:
     if cfg.effect_path is None:
         raise OpmeasError("effect-check needs --effect FILE")
     e = effect_from_json(load_json(cfg.effect_path))
@@ -157,7 +143,10 @@ def cmd_effect_check(cfg: RunConfig) -> int:
 # luders-verify
 
 
-def cmd_luders_verify(cfg: RunConfig) -> int:
+def cmd_luders_verify(cfg: argparse.Namespace) -> int:
+    dims = _parse_dims(cfg.dims)
+    if cfg.trials < 1:
+        raise OpmeasError("--trials must be at least 1")
     if (cfg.pom_path is None) != (cfg.effect_path is None):
         raise OpmeasError("an injected pair needs both --pom and --effect")
     if cfg.pom_path is not None:
@@ -174,8 +163,8 @@ def cmd_luders_verify(cfg: RunConfig) -> int:
         }
         bad = [] if rep.equivalent else [f"injected pair: {rep}"]
     else:
-        prop1 = run_prop1_trials(cfg.seed, cfg.trials, cfg.dims, outcomes=(2, 5), tol=cfg.tol)
-        objectivity = run_objectivity_trials(cfg.seed, cfg.trials, cfg.dims, tol=cfg.tol)
+        prop1 = run_prop1_trials(cfg.seed, cfg.trials, dims, outcomes=(2, 5), tol=cfg.tol)
+        objectivity = run_objectivity_trials(cfg.seed, cfg.trials, dims, tol=cfg.tol)
         rows = [
             [r.seed, r.dim, r.case, r.max_commutator, r.deviation, r.equivalent]
             for r in prop1
@@ -220,7 +209,7 @@ def cmd_luders_verify(cfg: RunConfig) -> int:
 # localization-demo
 
 
-def cmd_localization_demo(cfg: RunConfig) -> int:
+def cmd_localization_demo(cfg: argparse.Namespace) -> int:
     if cfg.model is None:
         raise OpmeasError("localization-demo needs --model FILE")
     model_cfg = model_config_from_json(load_json(cfg.model))
@@ -270,7 +259,7 @@ def _scan_rows(report) -> list[list]:
     return rows
 
 
-def cmd_causality_scan(cfg: RunConfig) -> int:
+def cmd_causality_scan(cfg: argparse.Namespace) -> int:
     findings: list[str] = []
     rows: list[list] = []
     verdicts = {}
@@ -356,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=200)
-        sp.add_argument("--dims", type=str, default="2..6", metavar="A..B")
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", type=str, default=None, metavar="PATH")
@@ -369,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("luders-verify", help="equivalence ensembles or one injected pair")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--dims", type=str, default="2..6", metavar="A..B")
     sp.add_argument("--pom", dest="pom_path", type=str, metavar="PATH")
     sp.add_argument("--effect", dest="effect_path", type=str, metavar="PATH")
 
@@ -399,20 +388,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself on bad flags / --help
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            seed=args.seed,
-            trials=args.trials,
-            dims=_parse_dims(args.dims),
-            tol=args.tol,
-            fmt=args.fmt,
-            out=args.out,
-            model=getattr(args, "model", None),
-            t_max=getattr(args, "t_max", None),
-            effect_path=getattr(args, "effect_path", None),
-            pom_path=getattr(args, "pom_path", None),
-        )
-        return _COMMANDS[cfg.command](cfg)
+        if args.tol <= 0:
+            raise OpmeasError("--tol must be positive")
+        if not math.isfinite(args.tol):
+            raise OpmeasError("--tol must be finite")
+        return _COMMANDS[args.command](args)
     except OpmeasError as exc:
         sys.stderr.write(f"opmeas: error: {exc}\n")
         return EXIT_INPUT

@@ -1,7 +1,7 @@
 """Effects (operators with spectrum in [0, 1]) and their spectral structure.
 
-An effect represents a yes/no measurement outcome.  Besides validation and
-complements, this module exposes the spectral projections onto the
+An effect represents a yes/no measurement outcome.  Besides validation,
+this module exposes the spectral projections onto the
 eigenvalue-1 and eigenvalue-0 subspaces, the sharpness test E(I-E) = 0,
 and the range-projection reduction that turns statements about products of
 effects into statements about products of projections.
@@ -77,16 +77,6 @@ def validate_effect(m, tol: float = TOL_PSD) -> Effect:
     if evals[-1] > 1 + tol:
         raise SpectrumOutOfRangeError(evals[-1])
     return Effect(op=a)
-
-
-def complement(e: Effect) -> Effect:
-    """The complement I - E.
-
-    Applying it twice restores E exactly for dyadic entries and to one
-    rounding step otherwise (1 - (1 - 0.7) is not 0.7 in binary floats).
-    """
-    eye = np.eye(e.dim, dtype=complex)
-    return Effect(op=eye - e.op)
 
 
 def spectral_projection(e: Effect, which: Literal["one", "zero"], tol: float = TOL_ONE) -> Projection:

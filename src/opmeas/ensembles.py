@@ -57,12 +57,6 @@ def random_effect(rng: np.random.Generator, dim: int) -> Effect:
     return validate_effect(m * scale)
 
 
-def random_state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = _ginibre(rng, dim)
-    m = hermitize(g.conj().T @ g)
-    return m / np.trace(m).real
-
-
 def random_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> Pom:
     """Normalized POM: k PSD draws whitened by the inverse root of their sum."""
     raw = [hermitize(g.conj().T @ g) for g in (_ginibre(rng, dim) for _ in range(n_outcomes))]

@@ -93,10 +93,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.

@@ -10,8 +10,9 @@ every site set and time slice an effect
 built from a base POM over the sites at slice zero.  Three constructions
 are provided — sharp position, kernel-smeared position, and the position
 marginal of a discrete Weyl-covariant phase-space POVM — together with
-checkers for covariance, localizability (strict and weak), spacelike
-separation, and local commutativity.
+checkers for covariance, spacelike separation, and local commutativity.
+Strict and weak localizability are read off the singleton effects by
+``causality.singleton_conditions``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .effects import TOL_ONE, Effect, spectral_projection
+from .effects import TOL_ONE, Effect
 from .errors import GeometryError, NotHermitianError, OpmeasError
 from .linalg import (
     HermitianEigen,
@@ -124,9 +125,6 @@ class SpatialSet:
         object.__setattr__(self, "sites", frozenset(int(x) for x in sites))
         object.__setattr__(self, "time_slice", int(time_slice))
 
-    def sorted_sites(self) -> tuple[int, ...]:
-        return tuple(sorted(self.sites))
-
 
 def _check_sites(model: LatticeModel, d: SpatialSet) -> None:
     if not d.sites:
@@ -189,14 +187,9 @@ def effect_for(lmap: LocalizationMap, d: SpatialSet) -> Effect:
 
 
 def sharp_position_map(model: LatticeModel) -> LocalizationMap:
-    """E_x = |x><x|: sharp, normalized, exactly shift-covariant."""
-    n = model.n_sites
-    effects = []
-    for x in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[x, x] = 1.0
-        effects.append(e)
-    return LocalizationMap(base_pom=build_pom(effects, require_normalized=True), model=model)
+    """E_x = |x><x|: sharp, normalized, exactly shift-covariant; the
+    smeared map of the point kernel."""
+    return smeared_position_map(model, np.eye(model.n_sites)[0])
 
 
 def smeared_position_map(model: LatticeModel, kernel) -> LocalizationMap:
@@ -319,43 +312,6 @@ def check_covariance(lmap: LocalizationMap, a: int, tol: float = 1e-12) -> Covar
     gaps = np.roll(stack, (a, a), axis=(1, 2)) - np.roll(stack, -a, axis=0)
     worst, _ = largest_norm(frobenius_norms(gaps), lambda x: op_norm(gaps[x]))
     return CovarianceReport(holds=worst <= tol, residual=worst)
-
-
-class LocalizabilityReport(NamedTuple):
-    holds: bool
-    residual: float
-
-
-def check_localizability(
-    lmap: LocalizationMap,
-    d1: SpatialSet,
-    d2: SpatialSet,
-    variant: Literal["strict", "weak"] = "strict",
-    tol: float = TOL_ONE,
-) -> LocalizabilityReport:
-    """Disjoint same-slice sets: does localization here exclude there?
-
-    strict: ||E_1 E_2|| — vanishes iff the effects annihilate.
-    weak:   ||P1_(1) (I - P0_(2))|| — certainty in the first set forbids
-            any chance of detection in the second; P1/P0 are the
-            eigenvalue-1 and eigenvalue-0 spectral projections.
-    """
-    if variant not in ("strict", "weak"):
-        raise ValueError("variant must be 'strict' or 'weak'")
-    if d1.time_slice != d2.time_slice:
-        raise GeometryError("localizability compares sets on one time slice")
-    if d1.sites & d2.sites:
-        raise GeometryError("sets must be disjoint")
-    e1 = effect_for(lmap, d1)
-    e2 = effect_for(lmap, d2)
-    if variant == "strict":
-        residual = op_norm(e1.op @ e2.op)
-    else:
-        p1 = spectral_projection(e1, "one")
-        p0 = spectral_projection(e2, "zero")
-        eye = np.eye(e1.dim, dtype=complex)
-        residual = op_norm(p1.op @ (eye - p0.op))
-    return LocalizabilityReport(holds=residual <= tol, residual=residual)
 
 
 class LocalCommutativityReport(NamedTuple):

@@ -1,8 +1,10 @@
 """Lüders instruments and the three operational equivalences.
 
-Central object: the Lüders instrument of a normalized POM, with selective
-operations rho -> sqrt(E_i) rho sqrt(E_i) and their trace-preserving sum.
-On top of it sit three checkers:
+Central object: the Lüders instrument of a normalized POM, with Kraus
+operators sqrt(E_i), selective operations rho -> sqrt(E_i) rho sqrt(E_i)
+and their trace-preserving sum.  Everything here works in the Heisenberg
+picture or on the Kraus operators themselves.  On top of it sit three
+checkers:
 
 * ``nondisturbance`` — measuring A nonselectively leaves the statistics of
   an effect B unchanged for *every* input state iff B is a fixed point of
@@ -22,21 +24,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .effects import Effect
-from .errors import NotNormalizedError, OpmeasError, SpectrumOutOfRangeError
+from .errors import NotNormalizedError
 from .linalg import (
-    TOL_PSD,
     as_matrix,
     commutator_norm,
     eig_hermitian,
     hermitize,
-    is_hermitian,
     outer,
     psd_sqrt,
     require_same_dim,
 )
 from .povm import Pom
-
-TOL_TRACE = 1e-10
 
 _EQUIV_TOL = 1e-8
 
@@ -55,34 +53,6 @@ class State:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
-
-
-def validate_state(m, tol: float = TOL_PSD) -> State:
-    """Check Hermiticity, positivity, and unit trace, then wrap."""
-    a = as_matrix(m)
-    if not is_hermitian(a):
-        raise OpmeasError("state is not Hermitian")
-    evals = eig_hermitian(a).eigenvalues
-    if evals[0] < -tol:
-        raise SpectrumOutOfRangeError(float(evals[0]), "state has a negative eigenvalue")
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise OpmeasError(f"state trace {tr!r} differs from 1 beyond {TOL_TRACE}")
-    return State(rho=a)
-
-
-def pure_state(vec) -> State:
-    """Normalize a vector and return the rank-one density matrix on it."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise OpmeasError("zero vector has no associated pure state")
-    v = v / n
-    return State(rho=outer(v))
-
-
-def maximally_mixed(dim: int) -> State:
-    return State(rho=np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)
@@ -108,47 +78,17 @@ class LudersInstrument:
         return self.source.dim
 
 
-def luders_channel(instr: LudersInstrument, rho: State) -> State:
-    """Nonselective state update: sum of sqrt(E_i) rho sqrt(E_i)."""
-    require_same_dim(instr.kraus[0], rho.rho)
-    return State(rho=_sandwich_sum(instr.kraus, rho.rho))
-
-
-def _sandwich_sum(kraus: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_i K_i X K_i: the channel and its dual alike,
-    since Luders Kraus operators are Hermitian."""
-    out = np.zeros_like(x)
-    for k in kraus:
-        out = out + k @ x @ k
-    return hermitize(out)
-
-
-class SelectiveResult(NamedTuple):
-    sub_state: np.ndarray
-    probability: float
-
-
-def luders_selective(instr: LudersInstrument, outcome, rho: State) -> SelectiveResult:
-    """Unnormalized post-measurement state for one outcome.
-
-    The trace of the sub-state is the outcome probability tr[rho E_i];
-    summing sub-states over all outcomes recovers the full channel.
-    """
-    i = instr.source.index(outcome)
-    require_same_dim(instr.kraus[0], rho.rho)
-    k = instr.kraus[i]
-    sub = hermitize(k @ rho.rho @ k)
-    return SelectiveResult(sub_state=sub, probability=float(np.trace(sub).real))
-
-
 def heisenberg_dual(instr: LudersInstrument, b: Effect) -> Effect:
-    """Dual map on effects: B -> sum sqrt(E_i) B sqrt(E_i).
+    """Dual map on effects: B -> Hermitian part of sum sqrt(E_i) B sqrt(E_i).
 
     The dual of a Luders channel maps effects to effects, so the result is
     wrapped without revalidation.
     """
     require_same_dim(instr.kraus[0], b.op)
-    return Effect(op=_sandwich_sum(instr.kraus, b.op))
+    out = np.zeros_like(b.op)
+    for k in instr.kraus:
+        out = out + k @ b.op @ k
+    return Effect(op=hermitize(out))
 
 
 class NondisturbanceReport(NamedTuple):

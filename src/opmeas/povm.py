@@ -51,7 +51,7 @@ class Pom:
 
     The effects are one read-only complex ``(K, d, d)`` stack, in outcome
     order, that nothing outside the POM holds.  The constructor trusts its
-    fields; ``build_pom`` and ``coarse_grain`` make POMs and their stacks."""
+    fields; ``build_pom`` makes POMs and their stacks."""
 
     outcomes: tuple
     stack: np.ndarray
@@ -69,15 +69,6 @@ class Pom:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    def index(self, outcome: Outcome) -> int:
-        try:
-            return self.outcomes.index(outcome)
-        except ValueError:
-            raise UnknownOutcomeError(f"unknown outcome {outcome!r}") from None
-
-    def effect(self, outcome: Outcome) -> Effect:
-        return self.effects[self.index(outcome)]
 
 
 def build_pom(
@@ -262,23 +253,3 @@ def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
         max_commutator=worst,
         worst_pair=None if commutative else worst_pair,
     )
-
-
-def coarse_grain(pom: Pom, partition: Sequence[Iterable[Outcome]]) -> Pom:
-    """Merge outcomes along a partition of the outcome set.
-
-    The partition cells must be disjoint and cover every outcome.  The new
-    POM has one outcome per cell, labelled by cell index, and inherits the
-    normalization flag (the total operator is unchanged).
-    """
-    cells = [set(cell) for cell in partition]
-    seen: set = set()
-    for cell in cells:
-        if seen & cell:
-            raise OpmeasError("partition cells overlap")
-        seen |= cell
-    if seen != set(pom.outcomes):
-        raise OpmeasError("partition does not cover the outcome set")
-    stack = np.array([effect_of(pom, cell).op for cell in cells])
-    stack.setflags(write=False)
-    return Pom(outcomes=tuple(range(len(cells))), stack=stack, normalized=pom.normalized)

@@ -2,7 +2,8 @@
 
 Matrix: ``{"dim": n, "entries": [[[re, im], ...], ...]}`` — n rows of n
 two-element [real, imag] pairs.  Pom: ``{"outcomes": [...], "effects":
-[Matrix, ...], "normalized": bool}``.  Model config::
+[Matrix, ...], "normalized": bool}``, each outcome a number, a string or a
+flat list of those.  Model config::
 
     {"n_sites": 32, "hamiltonian": "hopping" | Matrix,
      "light_speed": 1.0, "time_step": 1.0,
@@ -89,21 +90,34 @@ def pom_to_json(pom: Pom) -> dict:
 
 
 def pom_from_json(obj, require_normalized: bool | None = None) -> Pom:
-    if not isinstance(obj, dict) or "effects" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("effects"), list):
         raise OpmeasError("pom JSON needs an 'effects' list")
     effects = [matrix_from_json(e) for e in obj["effects"]]
     outcomes = obj.get("outcomes")
     if outcomes is not None:
-        outcomes = [tuple(o) if isinstance(o, list) else o for o in outcomes]
+        if not isinstance(outcomes, list):
+            raise OpmeasError("pom 'outcomes' must be a list")
+        outcomes = [_outcome_label(o) for o in outcomes]
     want_normalized = obj.get("normalized", False) if require_normalized is None else require_normalized
     return build_pom(effects, require_normalized=bool(want_normalized), outcomes=outcomes)
 
 
+def _outcome_label(o):
+    """A label is a number, a string, or a flat list of those, read as a tuple."""
+    if isinstance(o, (int, float, str)):
+        return o
+    if isinstance(o, list) and all(isinstance(x, (int, float, str)) for x in o):
+        return tuple(o)
+    raise OpmeasError(f"outcome label {o!r} is not a number, a string or a flat list of those")
+
+
 def load_json(path) -> object:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OpmeasError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise OpmeasError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

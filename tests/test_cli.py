@@ -90,15 +90,36 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys, pom_file, effect_
     capsys.readouterr()
     assert main(["luders-verify", "--trials", "0"]) == 1
     capsys.readouterr()
-    bool_dim = tmp_path / "bool-dim.json"
-    bool_dim.write_text(json.dumps({"dim": True, "entries": [[[0.5, 0.0]]]}))
-    assert main(["effect-check", "--effect", str(bool_dim)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("opmeas: error:") and err.count("\n") == 1
     pom_2x2 = pom_file([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     effect_3x3 = effect_file(np.diag([0.2, 0.5, 0.7]), "effect3.json")
     assert main(["luders-verify", "--pom", pom_2x2, "--effect", effect_3x3]) == 1
     assert capsys.readouterr().err == "opmeas: error: dimension mismatch: (3, 3) vs (2, 2)\n"
+
+    def one_error_line(argv):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("opmeas: error:") and err.count("\n") == 1, (argv, err)
+
+    bool_dim = tmp_path / "bool-dim.json"
+    bool_dim.write_text(json.dumps({"dim": True, "entries": [[[0.5, 0.0]]]}))
+    one_error_line(["effect-check", "--effect", str(bool_dim)])
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    one_error_line(["effect-check", "--effect", str(not_utf8)])
+    effect = effect_file(np.diag([0.0, 1.0]), "diag01.json")
+    one_error_line(["effect-check", "--effect", effect, "--out", str(tmp_path / "no-dir" / "x.txt")])
+    one_error_line(["effect-check", "--effect", effect, "--tol", "nan"])
+    one_error_line(["effect-check", "--effect", effect, "--seed", "3"])  # a luders-verify flag
+    good = json.loads(open(pom_2x2).read())
+    for field, value in [
+        ("effects", 5),
+        ("outcomes", 5),
+        ("outcomes", [{"a": 1}, {"b": 2}]),
+        ("outcomes", [[[1]], [[2]]]),
+    ]:
+        bad_pom = tmp_path / "bad-pom.json"
+        bad_pom.write_text(json.dumps(dict(good, **{field: value})))
+        one_error_line(["luders-verify", "--pom", str(bad_pom), "--effect", effect])
 
 
 def test_luders_verify_ensemble_csv_contract(capsys):

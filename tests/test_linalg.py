@@ -98,7 +98,7 @@ def test_eigen_reconstruction_and_orthonormality(seed, dim):
     assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
     v = eig.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
-    assert op_norm(eig.reconstruct() - m) <= 1e-10 * max(1.0, op_norm(m))
+    assert op_norm((v * eig.eigenvalues) @ v.conj().T - m) <= 1e-10 * max(1.0, op_norm(m))
 
 
 def test_eigenvector_phase_is_deterministic_and_positive():

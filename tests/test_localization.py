@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from opmeas.causality import singleton_conditions
 from opmeas.effects import is_strongly_unsharp, spectral_projection
 from opmeas.errors import GeometryError, NotHermitianError, OpmeasError
 from opmeas.linalg import eig_hermitian, op_norm
@@ -15,7 +16,6 @@ from opmeas.localization import (
     SpatialSet,
     check_covariance,
     check_local_commutativity,
-    check_localizability,
     coherent_state_povm,
     cyclic_distance,
     effect_for,
@@ -36,6 +36,12 @@ from opmeas.povm import build_pom, is_commutative
 
 def hopping_map(n: int) -> LocalizationMap:
     return sharp_position_map(make_model(n))
+
+
+def localizability_rows(lmap: LocalizationMap):
+    """The strict and weak localizability rows of the singleton table."""
+    _, strict, weak = singleton_conditions(lmap).rows
+    return strict, weak
 
 
 def static_map(n: int) -> LocalizationMap:
@@ -117,10 +123,9 @@ def test_sharp_map_exactly_covariant_and_localizable():
     for a in (1, 3, 7):
         rep = check_covariance(lmap, a)
         assert rep.holds and rep.residual == 0.0
-    rep = check_localizability(lmap, SpatialSet({0, 1}), SpatialSet({4}), variant="strict")
-    assert rep.holds and rep.residual == 0.0
-    rep = check_localizability(lmap, SpatialSet({0, 1}), SpatialSet({4}), variant="weak")
-    assert rep.holds and rep.residual <= 1e-12
+    strict, weak = localizability_rows(lmap)
+    assert strict.holds and strict.worst_residual == 0.0
+    assert weak.holds and weak.worst_residual <= 1e-12
 
 
 def test_covariance_detects_broken_map():
@@ -187,24 +192,20 @@ def test_smeared_singletons_strongly_unsharp():
 
 def test_smeared_strict_fails_weak_holds():
     lmap = smeared_position_map(make_model(8), three_point_kernel(8))
-    # kernels at sites 0 and 2 both put weight 1/4 on site 1
-    d1, d2 = SpatialSet({0}), SpatialSet({2})
-    strict = check_localizability(lmap, d1, d2, variant="strict")
+    strict, weak = localizability_rows(lmap)
     assert not strict.holds
-    assert strict.residual == pytest.approx(0.0625)
-    weak = check_localizability(lmap, d1, d2, variant="weak")
-    assert weak.holds and weak.residual <= 1e-12
-    # ...while sets farther apart than the kernel reach still annihilate
-    far = check_localizability(lmap, d1, SpatialSet({4}), variant="strict")
-    assert far.holds and far.residual == 0.0
+    # neighbours overlap most: E_0 E_1 has 1/2 * 1/4 on sites 0 and 1
+    assert strict.worst_residual == pytest.approx(0.125) and strict.worst_case == "sites {0},{1}"
+    assert weak.holds and weak.worst_residual <= 1e-12
+    stack = lmap.base_pom.stack
+    # kernels at sites 0 and 2 both put weight 1/4 on site 1...
+    assert op_norm(stack[0] @ stack[2]) == pytest.approx(0.0625)
+    # ...while sites farther apart than the kernel reach still annihilate
+    assert op_norm(stack[0] @ stack[4]) == 0.0
 
 
 def test_localizability_geometry_errors():
     lmap = hopping_map(8)
-    with pytest.raises(GeometryError):
-        check_localizability(lmap, SpatialSet({0}), SpatialSet({1}, time_slice=1))
-    with pytest.raises(GeometryError):
-        check_localizability(lmap, SpatialSet({0, 1}), SpatialSet({1, 2}))
     with pytest.raises(GeometryError):
         effect_for(lmap, SpatialSet({99}))
     with pytest.raises(GeometryError):
@@ -215,9 +216,8 @@ def test_weak_localizability_trivial_for_normalized_pom():
     # For any normalized POM, certainty on d1 forces probability zero on a
     # disjoint d2, so the weak variant holds even for the smeared map.
     lmap = smeared_position_map(make_model(12), three_point_kernel(12))
-    for x in (2, 5, 9):
-        rep = check_localizability(lmap, SpatialSet({0}), SpatialSet({x}), variant="weak")
-        assert rep.holds
+    _, weak = localizability_rows(lmap)
+    assert weak.holds
 
 
 def test_gaussian_fiducial_unit_norm_peaked():

@@ -1,4 +1,8 @@
-"""Lüders channel, Heisenberg dual, and the three operational equivalences."""
+"""Lüders instruments, Heisenberg dual, and the three operational equivalences.
+
+The Schrödinger-picture channel and its selective parts are written out
+here over ``instr.kraus``; the library works in the Heisenberg picture.
+"""
 
 from __future__ import annotations
 
@@ -13,25 +17,19 @@ from opmeas.ensembles import (
     random_commuting_pom_and_effect,
     random_effect,
     random_pom,
-    random_state_matrix,
     trial_rng,
 )
-from opmeas.errors import NotNormalizedError, OpmeasError
-from opmeas.linalg import op_norm, outer
+from opmeas.errors import NotNormalizedError
+from opmeas.linalg import hermitize, op_norm, outer
 from opmeas.luders import (
     LudersInstrument,
     causality_check_C,
     heisenberg_dual,
-    luders_channel,
-    luders_selective,
-    maximally_mixed,
     nondisturbance,
     objectivity_check,
     proposition1_verify,
-    pure_state,
-    validate_state,
 )
-from opmeas.povm import build_pom, coarse_grain
+from opmeas.povm import build_pom, effect_of
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -54,12 +52,22 @@ def sharp_binary() -> LudersInstrument:
     )
 
 
-def test_validate_state():
-    validate_state(diag(0.3, 0.7))
-    with pytest.raises(OpmeasError):
-        validate_state(diag(0.3, 0.3))  # trace != 1
-    with pytest.raises(OpmeasError):
-        validate_state(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+def selective(instr: LudersInstrument, i: int, rho: np.ndarray) -> np.ndarray:
+    """Unnormalized post-measurement state of outcome i: K_i rho K_i."""
+    k = instr.kraus[i]
+    return hermitize(k @ rho @ k)
+
+
+def channel(instr: LudersInstrument, rho: np.ndarray) -> np.ndarray:
+    """Nonselective Schrödinger-picture update: the sum of the selective parts."""
+    return sum(selective(instr, i, rho) for i in range(len(instr.kraus)))
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Density matrix G†G / tr(G†G) of a complex Ginibre matrix G."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = hermitize(g.conj().T @ g)
+    return m / np.trace(m).real
 
 
 def test_instrument_requires_normalized_pom():
@@ -75,56 +83,51 @@ def test_instrument_kraus_squares_sum_to_identity():
 
 
 def test_channel_pinches_offdiagonals():
-    rho = validate_state(np.full((2, 2), 0.5, dtype=complex))
-    out = luders_channel(sharp_binary(), rho)
-    assert np.allclose(out.rho, diag(0.5, 0.5), atol=1e-14)
+    rho = np.full((2, 2), 0.5, dtype=complex)
+    out = channel(sharp_binary(), rho)
+    assert np.allclose(out, diag(0.5, 0.5), atol=1e-14)
 
 
 def test_one_outcome_instrument_is_identity_channel():
     instr = LudersInstrument.from_pom(build_pom([I2], require_normalized=True))
-    rho = validate_state(np.array([[0.25, 0.1j], [-0.1j, 0.75]]))
-    assert np.allclose(luders_channel(instr, rho).rho, rho.rho, atol=1e-14)
-    sub = luders_selective(instr, 0, rho)
-    assert sub.probability == pytest.approx(1.0)
-    assert np.allclose(sub.sub_state, rho.rho, atol=1e-14)
+    rho = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
+    assert np.allclose(channel(instr, rho), rho, atol=1e-14)
+    sub = selective(instr, 0, rho)
+    assert np.trace(sub).real == pytest.approx(1.0)
+    assert np.allclose(sub, rho, atol=1e-14)
 
 
 def test_channel_unsharp_binary_against_sqrt_oracle():
     pom = build_pom([(I2 + X) / 2, (I2 - X) / 2], require_normalized=True)
     instr = LudersInstrument.from_pom(pom)
-    rho = validate_state(diag(1.0, 0.0))
-    out = luders_channel(instr, rho)
+    rho = diag(1.0, 0.0)
+    out = channel(instr, rho)
     expected = np.zeros((2, 2), dtype=complex)
     for e in pom.effects:
         r = sqrt2x2(e.op)
-        expected += r @ rho.rho @ r
-    assert np.allclose(out.rho, expected, atol=1e-12)
-    assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-10)
+        expected += r @ rho @ r
+    assert np.allclose(out, expected, atol=1e-12)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_selective_decomposes_channel_and_probabilities_sum():
     rng = trial_rng(1, 9)
     pom = random_pom(rng, 3, 3)
     instr = LudersInstrument.from_pom(pom)
-    rho = validate_state(random_state_matrix(rng, 3))
-    parts = [luders_selective(instr, i, rho) for i in pom.outcomes]
-    assert sum(p.probability for p in parts) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(
-        sum(p.sub_state for p in parts), luders_channel(instr, rho).rho, atol=1e-10
-    )
+    rho = random_state(rng, 3)
+    parts = [selective(instr, i, rho) for i in pom.outcomes]
+    probabilities = [np.trace(p).real for p in parts]
+    assert sum(probabilities) == pytest.approx(1.0, abs=1e-10)
     # probability = tr[rho E_i]
-    for i, p in zip(pom.outcomes, parts):
-        assert p.probability == pytest.approx(
-            float(np.trace(rho.rho @ pom.effects[i].op).real), abs=1e-12
-        )
+    for i, p in zip(pom.outcomes, probabilities):
+        assert p == pytest.approx(float(np.trace(rho @ pom.effects[i].op).real), abs=1e-12)
 
 
 def test_selective_sharp_example():
     instr = sharp_binary()
-    rho = validate_state(diag(0.3, 0.7))
-    sub = luders_selective(instr, 0, rho)
-    assert np.allclose(sub.sub_state, diag(0.3, 0.0))
-    assert sub.probability == pytest.approx(0.3)
+    sub = selective(instr, 0, diag(0.3, 0.7))
+    assert np.allclose(sub, diag(0.3, 0.0))
+    assert np.trace(sub).real == pytest.approx(0.3)
 
 
 def test_heisenberg_dual_identity_and_pinching():
@@ -150,10 +153,10 @@ def test_duality_pairing(seed, dim):
     rng = np.random.default_rng(seed)
     pom = random_pom(rng, dim, 3)
     instr = LudersInstrument.from_pom(pom)
-    rho = validate_state(random_state_matrix(rng, dim))
+    rho = random_state(rng, dim)
     b = random_effect(rng, dim)
-    lhs = np.trace(luders_channel(instr, rho).rho @ b.op).real
-    rhs = np.trace(rho.rho @ heisenberg_dual(instr, b).op).real
+    lhs = np.trace(channel(instr, rho) @ b.op).real
+    rhs = np.trace(rho @ heisenberg_dual(instr, b).op).real
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -163,10 +166,9 @@ def test_trace_preservation(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 6))
     instr = LudersInstrument.from_pom(random_pom(rng, dim, int(rng.integers(2, 5))))
-    rho = validate_state(random_state_matrix(rng, dim))
-    out = luders_channel(instr, rho)
-    assert abs(np.trace(out.rho).real - 1.0) <= 1e-10
-    assert np.linalg.eigvalsh(out.rho).min() >= -1e-10
+    out = channel(instr, random_state(rng, dim))
+    assert abs(np.trace(out).real - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
 def test_nondisturbance_commuting_holds_without_witness():
@@ -297,13 +299,6 @@ def test_nondisturbance_passes_to_coarse_grainings():
     rng = trial_rng(7, 0)
     pom, b = random_commuting_pom_and_effect(rng, 4, 4)
     assert nondisturbance(LudersInstrument.from_pom(pom), b).holds
-    merged = coarse_grain(pom, [{0, 1}, {2, 3}])
-    assert nondisturbance(LudersInstrument.from_pom(merged), b).holds
-    whole = coarse_grain(pom, [{0, 1, 2, 3}])
-    assert nondisturbance(LudersInstrument.from_pom(whole), b).holds
-
-
-def test_pure_state_and_maximally_mixed():
-    s = pure_state([1.0, 1.0])
-    assert np.allclose(s.rho, np.full((2, 2), 0.5))
-    assert np.trace(maximally_mixed(3).rho).real == pytest.approx(1.0)
+    for partition in ([{0, 1}, {2, 3}], [{0, 1, 2, 3}]):
+        merged = build_pom([effect_of(pom, cell) for cell in partition], require_normalized=True)
+        assert nondisturbance(LudersInstrument.from_pom(merged), b).holds
