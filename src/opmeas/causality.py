@@ -241,10 +241,10 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
         return f"sites {{{rows[at]}}},{{{cols[at]}}}" if at >= 0 else "none"
 
     strict_worst, strict_at = largest_norm(
-        pair_bounds(stack, stack, _products), lambda p: op_norm(stack[rows[p]] @ stack[cols[p]])
+        pair_bounds(stack, stack, _products), lambda ps: stack[rows[ps]] @ stack[cols[ps]]
     )
     weak_worst, weak_at = largest_norm(
-        pair_bounds(p1, not_p0, _products), lambda p: op_norm(p1[rows[p]] @ not_p0[cols[p]])
+        pair_bounds(p1, not_p0, _products), lambda ps: p1[rows[ps]] @ not_p0[cols[ps]]
     )
     max_eig = max(float(g.eigenvalues[-1]) for g in eigs)
     return SingletonTable(

@@ -147,6 +147,8 @@ def cmd_luders_verify(cfg: argparse.Namespace) -> int:
     dims = _parse_dims(cfg.dims)
     if cfg.trials < 1:
         raise OpmeasError("--trials must be at least 1")
+    if cfg.seed < 0:
+        raise OpmeasError("--seed must be non-negative")
     if (cfg.pom_path is None) != (cfg.effect_path is None):
         raise OpmeasError("an injected pair needs both --pom and --effect")
     if cfg.pom_path is not None:

@@ -6,14 +6,21 @@ hundred dimensions at most), so all routines use dense algebra.
 
 Validation happens once, at the boundary: ``as_matrix`` and ``is_hermitian``
 here, called by the validators, the wrapper-type constructors and the JSON
-loaders.  The kernels (``op_norm``, ``commutator``, ``commutator_norm``,
-``eig_hermitian``, ``psd_sqrt``) trust their square complex operands, and a
-public entry point taking two operands checks that their dimensions agree.
+loaders.  The kernels (``op_norms``, ``op_norm``, ``commutator``,
+``commutator_norm``, ``eig_hermitian``, ``psd_sqrt``) trust their square
+complex operands, and a public entry point taking two operands checks that
+their dimensions agree.
 
-Operator families are ``(K, d, d)`` stacks.  ``frobenius_norms`` bounds the
-operator norm of every matrix of a stack at once, ``pair_bounds`` does so for
-the products of every pair of a family, and ``largest_norm`` then takes exact
-norms only where a matrix could still be the largest.
+Operator families are ``(K, d, d)`` stacks.  ``op_norms`` is the one exact-norm
+kernel: one stacked SVD for a whole stack (``op_norm`` is its one-matrix
+call).  ``frobenius_norms`` bounds the operator norm of every matrix of a
+stack at once, and ``pair_bounds`` does so for the products of every pair of
+a family.  ``largest_norm`` then finds the largest exact norm in two tiers:
+it walks the Frobenius bounds in descending order in chunks, screens each
+chunk's survivors with the tighter Schatten-8 bound (``schatten8_norms``),
+and takes the exact norms of what is left with one ``op_norms`` call per
+chunk.  A chunk holds at most ``BLOCK_ENTRIES`` entries (1 MiB per
+temporary), whatever the size of the family.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ BOUND_MARGIN = 1e-8
 # Squares of entries below 2**-511 underflow, so a smaller sum of squares may
 # have lost part of itself and bounds nothing.
 _TRUSTED_SQUARES = 2.0**-900
-# Complex entries per block of a stacked pass (1 MiB per temporary).
+# Complex entries per block of a stacked pass, and per chunk of exact norms
+# in ``largest_norm`` (1 MiB per temporary).
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -135,9 +143,21 @@ def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     return hermitize((v * np.sqrt(clamped)) @ v.conj().T)
 
 
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator (spectral) norm of each matrix of a (K, d, d) stack: its
+    largest singular value, from one stacked SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def op_norm(m: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(m, 2))
+    return float(op_norms(m[np.newaxis])[0])
+
+
+def _sum_squares(stack: np.ndarray) -> np.ndarray:
+    """Sum of the squared moduli of the entries of each matrix of a (K, d, d) stack."""
+    parts = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts)
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -146,11 +166,30 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     A nonzero matrix whose sum of squares is below ``_TRUSTED_SQUARES`` gets an
     infinite bound, so a zero bound means an exactly zero matrix.
     """
-    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
-    parts = flat.view(np.float64)
-    squares = np.einsum("ij,ij->i", parts, parts)
-    squares[(squares < _TRUSTED_SQUARES) & flat.any(axis=1)] = np.inf
+    squares = _sum_squares(stack)
+    squares[(squares < _TRUSTED_SQUARES) & stack.reshape(len(stack), -1).any(axis=1)] = np.inf
     return np.sqrt(squares)
+
+
+def schatten8_norms(stack: np.ndarray) -> np.ndarray:
+    """Schatten 8-norm ``||(M†M)^2||_F^(1/4)`` of each matrix M of a (K, d, d)
+    stack, an upper bound on its operator norm.
+
+    It is never above the Frobenius norm and is much closer to the operator
+    norm when few singular values share the top: for a rank-two matrix with
+    equal singular values it is 2**(1/8) times the norm, against sqrt(2).
+    Where the sum of squares of (M†M)^2 is below ``_TRUSTED_SQUARES``,
+    underflow may have eaten part of it; where it is not finite, it has
+    overflowed.  Either way the matrix gets its Frobenius bound instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = dagger(stack) @ stack
+        squares = _sum_squares(gram @ gram)
+    bounds = squares**0.125
+    untrusted = ~((squares >= _TRUSTED_SQUARES) & (squares < np.inf))
+    if untrusted.any():
+        bounds[untrusted] = frobenius_norms(stack[untrusted])
+    return bounds
 
 
 def pair_bounds(
@@ -189,24 +228,44 @@ def pair_bounds(
     return bounds
 
 
-def largest_norm(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int]:
-    """Largest ``exact(p)`` over the indices p of ``bounds``, where ``bounds[p]``
-    is an upper bound on ``exact(p)``.
+def largest_norm(
+    bounds: np.ndarray, matrices: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, int]:
+    """Largest operator norm of the matrices of a family, where ``bounds[p]``
+    is an upper bound on the norm of matrix p and ``matrices(ps)`` returns
+    the ``(len(ps), d, d)`` stack of the matrices at an index array.
 
-    ``exact`` runs in order of descending bound and stops at the first bound
-    that is zero or that, inflated by ``BOUND_MARGIN`` for rounding, is below
-    the running maximum.  The maximum is therefore the one a plain loop over
-    every index would find, bit for bit.  Returns it with the first index that
-    attains it (ties go to the first index, as with the loop's strict ``>``),
-    or ``(0.0, -1)`` when every value is zero.
+    The indices are walked in order of descending bound, in chunks that start
+    at one index and double up to ``BLOCK_ENTRIES // d**2`` matrices.  A chunk
+    stops the walk at the first bound that is zero or that, inflated by
+    ``BOUND_MARGIN`` for rounding, is below the running maximum.  The matrices
+    of the indices before it are screened with their Schatten-8 bound (same
+    test), and the survivors' exact norms come from one ``op_norms`` call.
+    Only matrices whose norm is below the final maximum are skipped, so the
+    maximum is the one a plain loop over every index would find, bit for bit.
+    Returns it with the first index that attains it (ties go to the first
+    index, as with the loop's strict ``>``), or ``(0.0, -1)`` when every
+    value is zero.
     """
     worst, worst_at = 0.0, -1
-    for p in np.argsort(bounds)[::-1]:
-        if bounds[p] == 0.0 or bounds[p] * (1 + BOUND_MARGIN) < worst:
-            break
-        value = exact(p)
-        if value > worst or (value == worst and p < worst_at):
-            worst, worst_at = value, int(p)
+    order = np.argsort(bounds)[::-1]
+    start, size, cap = 0, 1, 1
+    while start < len(order):
+        ps = order[start : start + size]
+        start += size
+        top = bounds[ps]
+        cut = np.flatnonzero((top == 0.0) | (top * (1 + BOUND_MARGIN) < worst))
+        if len(cut):
+            ps, start = ps[: cut[0]], len(order)
+        if len(ps):
+            stack = matrices(ps)
+            cap = max(1, BLOCK_ENTRIES // stack[0].size)
+            keep = ~(schatten8_norms(stack) * (1 + BOUND_MARGIN) < worst)
+            if keep.any():
+                for p, value in zip(ps[keep], op_norms(stack[keep])):
+                    if value > worst or (value == worst and p < worst_at):
+                        worst, worst_at = float(value), int(p)
+        size = min(2 * size, cap)
     return worst, worst_at
 
 

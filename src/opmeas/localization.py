@@ -35,7 +35,6 @@ from .linalg import (
     hermitize,
     is_hermitian,
     largest_norm,
-    op_norm,
 )
 from .povm import Pom, _stack_pom, build_pom, effect_of
 
@@ -310,7 +309,7 @@ def check_covariance(lmap: LocalizationMap, a: int, tol: float = 1e-12) -> Covar
     """
     stack = lmap.base_pom.stack
     gaps = np.roll(stack, (a, a), axis=(1, 2)) - np.roll(stack, -a, axis=0)
-    worst, _ = largest_norm(frobenius_norms(gaps), lambda x: op_norm(gaps[x]))
+    worst, _ = largest_norm(frobenius_norms(gaps), lambda xs: gaps[xs])
     return CovarianceReport(holds=worst <= tol, residual=worst)
 
 

@@ -17,6 +17,7 @@ failures through OpmeasError so the CLI can map them to exit code 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +64,19 @@ def matrix_from_json(obj) -> np.ndarray:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise OpmeasError(f"entry ({i},{j}) must be a [re, im] pair")
             re, im = cell
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise OpmeasError(f"entry ({i},{j}) must hold two numbers")
+            if not (_is_finite_number(re) and _is_finite_number(im)):
+                raise OpmeasError(f"entry ({i},{j}) must hold two finite numbers")
             out[i, j] = complex(re, im)
     return out
+
+
+def _is_finite_number(x) -> bool:
+    """True for a JSON number whose float value is finite.  A bool is not
+    one: its type is a subclass of int, not int."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def effect_to_json(e: Effect) -> dict:
@@ -120,7 +130,7 @@ def load_json(path) -> object:
         raise OpmeasError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
         raise OpmeasError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -157,8 +167,8 @@ def model_config_from_json(obj) -> ModelConfig:
         raise OpmeasError(f"unknown construction {construction!r}")
     for key in ("light_speed", "time_step"):
         value = obj.get(key, 1.0)
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise OpmeasError(f"{key} must be a positive number, got {value!r}")
+        if not _is_finite_number(value) or value <= 0:
+            raise OpmeasError(f"{key} must be a finite positive number, got {value!r}")
     kernel = obj.get("kernel")
     if kernel is not None:
         kernel = _expand_kernel(kernel, n)
@@ -178,8 +188,8 @@ def model_config_from_json(obj) -> ModelConfig:
 
 def _expand_kernel(kernel, n: int) -> np.ndarray:
     """Short kernels are placed at offsets 0..k-1 and zero-padded to length n."""
-    if not isinstance(kernel, list) or not all(isinstance(x, (int, float)) for x in kernel):
-        raise OpmeasError("kernel must be a list of numbers")
+    if not isinstance(kernel, list) or not all(_is_finite_number(x) for x in kernel):
+        raise OpmeasError("kernel must be a list of finite numbers")
     k = np.asarray(kernel, dtype=float)
     if k.shape[0] > n:
         raise OpmeasError(f"kernel longer than the lattice ({k.shape[0]} > {n})")
@@ -189,17 +199,17 @@ def _expand_kernel(kernel, n: int) -> np.ndarray:
 
 
 def _parse_vector(entries, n: int) -> np.ndarray:
-    """Vector entries are numbers or [re, im] pairs."""
+    """Vector entries are finite numbers or [re, im] pairs of them."""
     if not isinstance(entries, list) or len(entries) != n:
         raise OpmeasError(f"fiducial must be a list of {n} entries")
     out = np.zeros(n, dtype=complex)
     for i, cell in enumerate(entries):
-        if isinstance(cell, (int, float)):
+        if _is_finite_number(cell):
             out[i] = cell
-        elif isinstance(cell, list) and len(cell) == 2:
+        elif isinstance(cell, list) and len(cell) == 2 and all(map(_is_finite_number, cell)):
             out[i] = complex(cell[0], cell[1])
         else:
-            raise OpmeasError(f"fiducial entry {i} must be a number or [re, im] pair")
+            raise OpmeasError(f"fiducial entry {i} must be a finite number or [re, im] pair")
     return out
 
 

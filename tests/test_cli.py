@@ -120,6 +120,26 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys, pom_file, effect_
         bad_pom = tmp_path / "bad-pom.json"
         bad_pom.write_text(json.dumps(dict(good, **{field: value})))
         one_error_line(["luders-verify", "--pom", str(bad_pom), "--effect", effect])
+    one_error_line(["luders-verify", "--seed", "-1", "--trials", "2"])
+    for field, value in [
+        ("kernel", [True, False, False, False]),
+        ("kernel", [0.5, float("inf")]),
+        ("light_speed", True),
+        ("light_speed", float("nan")),
+        ("time_step", 10**400),
+        ("fiducial", [["x", 1], 0, 0, 0]),
+        ("fiducial", [[1, float("nan")], 0, 0, 0]),
+        ("fiducial", [True, 0, 0, 0]),
+    ]:
+        bad_model = tmp_path / "bad-model.json"
+        bad_model.write_text(json.dumps({"n_sites": 4, "construction": "smeared", field: value}))
+        one_error_line(["localization-demo", "--model", str(bad_model)])
+    bad_cell = tmp_path / "bad-cell.json"
+    for cell in ([float("nan"), 0.0], [True, 0.0], [0.5, 10**400]):
+        bad_cell.write_text(json.dumps({"dim": 1, "entries": [[cell]]}))
+        one_error_line(["effect-check", "--effect", str(bad_cell)])
+    bad_cell.write_text('{"dim": 1, "entries": [[[' + "1" * 5000 + ", 0]]]}")
+    one_error_line(["effect-check", "--effect", str(bad_cell)])  # past int's digit limit
 
 
 def test_luders_verify_ensemble_csv_contract(capsys):
