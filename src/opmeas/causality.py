@@ -149,7 +149,8 @@ def strong_causality_chain(
     When it holds, the three inequalities are scored by residuals
     ||P (I - Q)||; a projection inequality P <= Q holds iff that product
     vanishes.  When the premise fails the chain is vacuous and residuals
-    are None.
+    are None.  P1 and P0 are the eigenspaces within tol of 1 and 0, the same
+    tol that scores the residuals.
     """
     if d1.time_slice != 0:
         raise GeometryError("chain expects d1 on slice 0")
@@ -157,14 +158,14 @@ def strong_causality_chain(
     if not spacelike_separated(grown, d2, lmap.model):
         raise GeometryError("d2 is not spacelike separated from the inflated d1")
     e1 = effect_for(lmap, d1)
-    p1_d1 = spectral_projection(e1, "one")
+    p1_d1 = spectral_projection(e1, "one", tol)
     if p1_d1.rank == 0:
         return ChainReport(premise_holds=False, chain_holds=True, residuals=None)
     e1_t = evolve_effect(lmap.model, effect_of(lmap.base_pom, grown.sites), t)
-    p1_grown = spectral_projection(e1_t, "one")
+    p1_grown = spectral_projection(e1_t, "one", tol)
     e2 = effect_for(lmap, d2)
-    p0_d2 = spectral_projection(e2, "zero")
-    p1_d2 = spectral_projection(e2, "one")
+    p0_d2 = spectral_projection(e2, "zero", tol)
+    p1_d2 = spectral_projection(e2, "one", tol)
     eye = np.eye(e1.dim, dtype=complex)
     r1 = op_norm(p1_d1.op @ (eye - p1_grown.op))
     r2 = op_norm(p1_grown.op @ (eye - p0_d2.op))
@@ -222,6 +223,7 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
     disjoint singleton pairs at slice 0, and the largest singleton eigenvalue.
 
     The map is strongly unsharp when that eigenvalue stays below 1 - tol.
+    The weak row's P1 and P0 are the eigenspaces within tol of 1 and 0.
     """
     n = lmap.model.n_sites
     cov_worst, cov_case = 0.0, "shift 0"
@@ -233,8 +235,8 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
     # one decomposition per singleton gives P1, P0 and the largest eigenvalue
     stack = lmap.base_pom.stack
     eigs = [eig_hermitian(m) for m in stack]
-    p1 = np.array([endpoint_projection(g, "one").op for g in eigs])
-    not_p0 = np.eye(n, dtype=complex) - np.array([endpoint_projection(g, "zero").op for g in eigs])
+    p1 = np.array([endpoint_projection(g, "one", tol).op for g in eigs])
+    not_p0 = np.eye(n, dtype=complex) - np.array([endpoint_projection(g, "zero", tol).op for g in eigs])
     rows, cols = np.triu_indices(n, 1)
 
     def case(at: int) -> str:

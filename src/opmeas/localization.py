@@ -259,15 +259,15 @@ def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
     if abs(np.linalg.norm(eta) - 1.0) > 1e-10:
         raise OpmeasError("fiducial must be a unit vector")
     omega = np.exp(2j * np.pi * np.arange(n) / n)
-    stack = np.empty((n * n, n, n), dtype=complex)
-    outcomes = []
-    for q in range(n):
-        for p in range(n):
-            mod = (omega**p) * eta  # Z^p eta
-            vec = np.roll(mod, q)  # X^q: amplitude at x comes from x - q
-            stack[len(outcomes)] = np.outer(vec, vec.conj()) / n
-            outcomes.append((q, p))
+    # one power per p: a broadcast omega**p rounds differently
+    mods = np.array([(omega**p) * eta for p in range(n)])  # row p is Z^p eta
+    sites = np.arange(n)
+    # X^q: amplitude at x comes from x - q; row q * n + p is X^q Z^p eta
+    vecs = mods[:, (sites[np.newaxis] - sites[:, np.newaxis]) % n].swapaxes(0, 1).reshape(n * n, n)
+    stack = np.multiply(vecs[:, :, np.newaxis], vecs.conj()[:, np.newaxis])
+    stack /= n
     stack.setflags(write=False)
+    outcomes = [(q, p) for q in range(n) for p in range(n)]
     return _stack_pom(stack, require_normalized=True, outcomes=outcomes)
 
 

@@ -146,6 +146,38 @@ def test_chain_vacuous_for_strongly_unsharp_map():
     assert not rep.premise_holds and rep.chain_holds and rep.residuals is None
 
 
+def test_chain_projection_ranks_follow_tol():
+    # E_{0} has the eigenvalue 1 - 1e-6: a unit eigenvalue at tol 1e-5, none at 1e-8
+    kernel = np.zeros(16)
+    kernel[[0, 1]] = [1 - 1e-6, 1e-6]
+    lmap = smeared_position_map(make_model(16), kernel)
+    d1, d2 = SpatialSet({0}), SpatialSet({8})
+    assert not strong_causality_chain(lmap, d1, d2, t=1.0, tol=1e-8).premise_holds
+    rep = strong_causality_chain(lmap, d1, d2, t=1.0, tol=1e-5)
+    assert rep.premise_holds and rep.residuals[0] > 0.1
+
+
+def test_singleton_projection_ranks_follow_tol():
+    # E_0 = (1 - 1e-6)|0><0| and E_1 = 1e-4|w><w| with |<0|w>|^2 = 1e-3.  The
+    # weak row scores ||P1(E_0)(I - P0(E_1))||: P1(E_0) is |0><0| from tol 1e-6
+    # on, and |w> leaves I - P0(E_1) from tol 1e-4 on, so only in between is
+    # the residual |<0|w>|.
+    w = np.array([np.sqrt(1e-3), np.sqrt(1 - 1e-3), 0.0], dtype=complex)
+    e0 = np.diag([1 - 1e-6, 0.0, 0.0]).astype(complex)
+    e1 = 1e-4 * np.outer(w, w.conj())
+    lmap = LocalizationMap(build_pom([e0, e1, np.eye(3) - e0 - e1], True), make_model(3))
+
+    def weak(tol):
+        return singleton_conditions(lmap, tol).rows[2]
+
+    assert weak(1e-8) == ConditionRow("weak localizability", True, 0.0, "none")
+    row = weak(1e-5)
+    assert not row.holds and row.worst_case == "sites {0},{1}"
+    assert row.worst_residual == pytest.approx(np.sqrt(1e-3), rel=1e-9)
+    row = weak(1e-3)
+    assert row.holds and row.worst_residual < 1e-5
+
+
 def test_chain_geometry_errors():
     lmap = hopping_map(16)
     with pytest.raises(GeometryError):

@@ -28,6 +28,7 @@ from opmeas.linalg import (
     outer,
     pair_bounds,
     psd_sqrt,
+    rank_one_bounds,
     require_same_dim,
     schatten8_norms,
 )
@@ -199,19 +200,37 @@ def _random_fiducial(n: int) -> np.ndarray:
     return eta / np.linalg.norm(eta)
 
 
-# A plain loop makes 1.0 exact norm per pair and the Frobenius tier alone about
-# 0.10 (Gaussian) and 0.16 (random); measured with the Schatten-8 tier: 0.071
-# and 0.024.  The Gaussian fiducial is parity symmetric, so whole orbits of
-# 256 pairs tie near the maximum, and 2,304 of its 32,640 pairs have a
-# Schatten-8 bound at or above it: no two-tier scan can take fewer.
+# A plain loop makes 1.0 exact norm per pair.  With Frobenius bounds from
+# ``pair_bounds`` and the Schatten-8 screen the N = 16 POVMs took 2,304
+# (Gaussian) and 768 (random) exact norms: the commutators of rank-one effects
+# have two equal singular values, so the Schatten-8 bound sits 2**(1/8) above
+# the norm and every pair within 9% of the maximum went to an SVD.  The Gram
+# tier's bounds are within rounding of the norm, so only pairs that tie the
+# maximum remain: the Gaussian fiducial is parity symmetric and whole orbits
+# of the Weyl group tie there (512 pairs), the random one ties on 256.
 def test_pair_scan_takes_exact_norms_only_where_a_pair_could_win(monkeypatch):
     norms = _count_exact_norms(monkeypatch)
-    for fiducial, ceiling in [(gaussian_fiducial, 0.08), (_random_fiducial, 0.05)]:
+    products = _count_calls(monkeypatch, "pair_bounds")
+    for fiducial, ceiling in [(gaussian_fiducial, 512), (_random_fiducial, 256)]:
         povm = coherent_state_povm(make_model(16), fiducial(16))
         norms.clear()
         assert not is_commutative(povm).commutative
-        pairs = len(povm) * (len(povm) - 1) // 2
-        assert 0 < _matrices(norms) <= ceiling * pairs, fiducial.__name__
+        assert 0 < _matrices(norms) <= ceiling, fiducial.__name__
+    assert products == []  # the rank-one POVMs take their bounds from the Gram tier
+
+
+def test_pair_scan_on_a_commuting_rank_one_family_takes_no_exact_norm(monkeypatch):
+    # the Gram bounds of a family that commutes up to rounding are all slack,
+    # so the scan falls back to the Frobenius bounds, which are exact zeros
+    point = np.zeros(16)
+    point[0] = 1.0
+    povm = coherent_state_povm(make_model(16), point)  # 16 copies of each |x><x| / 16
+    base = sharp_position_map(make_model(32)).base_pom
+    norms = _count_exact_norms(monkeypatch)
+    products = _count_calls(monkeypatch, "pair_bounds")
+    for pom in (povm, base):
+        assert is_commutative(pom).max_commutator == 0.0
+    assert norms == [] and len(products) == 2
 
 
 def test_pair_scan_takes_no_exact_norm_on_a_commuting_pom(monkeypatch):
@@ -299,6 +318,66 @@ def test_schatten8_bound_of_a_rank_two_commutator():
     exact = op_norms(c)
     assert frobenius_norms(c) == pytest.approx(np.sqrt(2) * exact, rel=1e-12)
     assert schatten8_norms(c) == pytest.approx(2**0.125 * exact, rel=1e-12)
+
+
+def _rank_one_family(kind: str, rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and vectors v of rank-one matrices w v v†: two random ones, so
+    that the family does not commute, and six of the kind."""
+
+    def vectors(k):
+        return rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+
+    v, w = vectors(8), rng.uniform(0.0, 1.0, 8)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if kind == "duplicated":  # weight 1, three copies of each
+        v[2:], w[2:] = np.repeat(v[2:4], 3, axis=0)[:6], 1.0
+    elif kind == "near-duplicate":
+        v[5:] = v[2:5] + 1e-9 * vectors(3)
+    elif kind == "orthogonal":  # columns of a random unitary, none a basis vector
+        q = np.linalg.qr(vectors(dim).T)[0]
+        v[2 : 2 + dim] = q.T[:6]
+    return w, v
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 12),
+    st.sampled_from(["random", "duplicated", "near-duplicate", "orthogonal"]),
+    st.sampled_from([1.0, 1e-160, 1e150]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_one_bounds_are_never_below_the_exact_norm(seed, dim, kind, scale, given_pairs):
+    # given_pairs passes the generating (w, v), whose residuals are exact
+    # zeros, so only the absolute slack covers the commutators' rounding
+    w, v = _rank_one_family(kind, np.random.default_rng(seed), dim)
+    values = scale * w
+    stack = values[:, np.newaxis, np.newaxis] * (v[:, :, np.newaxis] * v[:, np.newaxis].conj())
+    if not given_pairs:
+        evals, evecs = np.linalg.eigh(hermitize(stack))
+        values, v = evals[:, -1], evecs[:, :, -1]
+    bounds = rank_one_bounds(stack, values, v)
+    if scale == 1e-160:  # the sums of squares underflow: no finite bound, no tier
+        assert bounds is None
+        return
+    rows, cols = np.triu_indices(len(stack), 1)
+    exact = op_norms(stack[rows] @ stack[cols] - stack[cols] @ stack[rows])
+    assert bounds is not None and bounds.shape == exact.shape
+    assert np.all(bounds * (1 + BOUND_MARGIN) >= exact)
+
+
+def test_rank_one_bounds_step_aside_for_full_rank_and_commuting_families():
+    rng = np.random.default_rng(31)
+    full = np.array([h @ h for h in (_rand_hermitian(rng, 4) for _ in range(5))])
+    w, v = _rank_one_family("random", rng, 4)
+    rank_one = w[:, np.newaxis, np.newaxis] * (v[:, :, np.newaxis] * v[:, np.newaxis].conj())
+    nearly = rank_one + 1e-6 * np.eye(4)  # residual far above rounding, closed forms too
+    basis = np.eye(4, dtype=complex)[:, :, np.newaxis] * np.eye(4)[:, np.newaxis]
+    for stack in (full, nearly, basis, np.zeros((3, 4, 4), dtype=complex)):
+        evals, evecs = np.linalg.eigh(stack)
+        assert rank_one_bounds(stack, evals[:, -1], evecs[:, :, -1]) is None
+    evals, evecs = np.linalg.eigh(rank_one)
+    assert rank_one_bounds(rank_one, evals[:, -1], evecs[:, :, -1]) is not None
 
 
 def _largest_norm_loop(stack: np.ndarray) -> tuple[float, int]:

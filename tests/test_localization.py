@@ -240,6 +240,31 @@ def test_coherent_povm_resolves_identity():
         assert np.trace(e.op).real == pytest.approx(1.0 / 6.0)
 
 
+def _coherent_stack_loop(n: int, eta: np.ndarray) -> tuple[np.ndarray, list]:
+    """Reference: one outer product per phase-space point, X^q Z^p eta by np.roll."""
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    stack = np.empty((n * n, n, n), dtype=complex)
+    outcomes = []
+    for q in range(n):
+        for p in range(n):
+            vec = np.roll((omega**p) * eta, q)
+            stack[len(outcomes)] = np.outer(vec, vec.conj()) / n
+            outcomes.append((q, p))
+    return stack, outcomes
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 13, 16])
+def test_coherent_povm_stack_matches_the_outer_product_loop_byte_for_byte(n):
+    # a broadcast omega**p would round differently (it moves bytes at n = 7)
+    rng = np.random.default_rng(n)
+    random = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for eta in (gaussian_fiducial(n), random / np.linalg.norm(random)):
+        povm = coherent_state_povm(make_model(n), eta)
+        stack, outcomes = _coherent_stack_loop(n, eta)
+        assert povm.stack.tobytes() == stack.tobytes()
+        assert povm.outcomes == tuple(outcomes)
+
+
 def test_coherent_povm_rejects_unnormalized_fiducial():
     model = make_model(6)
     with pytest.raises(OpmeasError):

@@ -20,7 +20,7 @@ from opmeas.errors import (
     SumExceedsIdentityError,
     UnknownOutcomeError,
 )
-from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm
+from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm, rank_one_bounds
 from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, position_marginal
 from opmeas.povm import build_pom, effect_of, is_commutative, is_sharp_pom
 
@@ -314,11 +314,20 @@ def _assert_scan_matches_loop(pom):
     assert rep.worst_pair == (worst_pair if worst > 0.0 else None)
 
 
+def _rank_one_pom(rng, dim, n_out, copies):
+    """Rank-one effects w |v><v|, each repeated ``copies`` times, scaled so that they sum below I."""
+    v = rng.standard_normal((n_out, dim)) + 1j * rng.standard_normal((n_out, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    effects = rng.uniform(0.1, 1.0, (n_out, 1, 1)) * (v[:, :, np.newaxis] * v[:, np.newaxis].conj())
+    effects = np.repeat(effects, copies, axis=0)[:n_out]
+    return build_pom(effects / eig_hermitian(effects.sum(axis=0)).eigenvalues[-1], False)
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 8),
     st.integers(1, 12),
-    st.sampled_from(["random", "diagonal", "duplicated"]),
+    st.sampled_from(["random", "diagonal", "duplicated", "rank-one", "rank-one-duplicated"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_is_commutative_matches_pair_loop_exactly(seed, dim, n_out, kind):
@@ -328,9 +337,13 @@ def test_is_commutative_matches_pair_loop_exactly(seed, dim, n_out, kind):
     elif kind == "diagonal":  # commute exactly: every commutator is the zero matrix
         w = rng.uniform(0.0, 1.0, (n_out, dim))
         pom = build_pom([np.diag(row).astype(complex) for row in w / w.sum(axis=0)], False)
-    else:  # each effect twice, so equal pairs tie bit for bit
+    elif kind == "duplicated":  # each effect twice, so equal pairs tie bit for bit
         half = [e.op / 2 for e in random_pom(rng, dim, (n_out + 1) // 2).effects]
         pom = build_pom([m for m in half for _ in range(2)][:n_out], False)
+    else:  # the Gram tier bounds these whenever two distinct effects do not commute
+        pom = _rank_one_pom(rng, dim, n_out, 2 if kind == "rank-one-duplicated" else 1)
+        distinct = n_out if kind == "rank-one" else (n_out + 1) // 2
+        assert (rank_one_bounds(pom.stack, *pom._top) is not None) == (dim > 1 and distinct > 1)
     _assert_scan_matches_loop(pom)
 
 
