@@ -36,7 +36,6 @@ from .localization import (
     SpatialSet,
     check_covariance,
     check_local_commutativity,
-    coherent_state_povm,
     cyclic_distance,
     effect_for,
     evolve_effect,
@@ -375,13 +374,9 @@ def builtin_model_family(sizes=(8, 16, 32)) -> list[tuple[str, LocalizationMap]]
     """The stock sweep: {sharp, smeared, coherent-marginal} x {static, hopping} x sizes."""
     family = []
     for n in sizes:
-        models = {
-            "static": make_model(n, hamiltonian=zero_hamiltonian(n)),
-            "hopping": make_model(n, hamiltonian=hopping_hamiltonian(n)),
-        }
-        # the POVM depends on n and the fiducial only, so both dynamics share it
-        povm = coherent_state_povm(models["static"], gaussian_fiducial(n))
-        for ham_name, model in models.items():
+        fiducial = gaussian_fiducial(n)
+        for ham_name, ham in (("static", zero_hamiltonian(n)), ("hopping", hopping_hamiltonian(n))):
+            model = make_model(n, hamiltonian=ham)
             family.append((f"sharp/{ham_name}/N={n}", sharp_position_map(model)))
             family.append(
                 (
@@ -390,6 +385,6 @@ def builtin_model_family(sizes=(8, 16, 32)) -> list[tuple[str, LocalizationMap]]
                 )
             )
             family.append(
-                (f"coherent-marginal/{ham_name}/N={n}", position_marginal(povm, model))
+                (f"coherent-marginal/{ham_name}/N={n}", position_marginal(model, fiducial))
             )
     return family

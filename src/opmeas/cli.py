@@ -36,7 +36,7 @@ from .effects import is_sharp, is_strongly_unsharp, spectral_projection
 from .ensembles import run_objectivity_trials, run_prop1_trials
 from .errors import OpmeasError
 from .linalg import eig_hermitian
-from .localization import SpatialSet
+from .localization import SpatialSet, coherent_state_povm
 from .luders import proposition1_verify
 from .povm import is_commutative
 from .serialize import (
@@ -215,7 +215,7 @@ def cmd_localization_demo(cfg: argparse.Namespace) -> int:
     if cfg.model is None:
         raise OpmeasError("localization-demo needs --model FILE")
     model_cfg = model_config_from_json(load_json(cfg.model))
-    lmap, povm = build_construction(model_cfg)
+    lmap = build_construction(model_cfg)
     n = lmap.model.n_sites
 
     table = singleton_conditions(lmap, cfg.tol)
@@ -226,8 +226,8 @@ def cmd_localization_demo(cfg: argparse.Namespace) -> int:
         ["base commutativity", base_comm.commutative, base_comm.max_commutator, str(base_comm.worst_pair)],
         ["strong unsharpness", table.strongly_unsharp, table.max_eigenvalue, "max singleton eigenvalue"],
     ]
-    if povm is not None:
-        pv = is_commutative(povm, cfg.tol)
+    if model_cfg.construction == "coherent":  # the one row that reads the POVM
+        pv = is_commutative(coherent_state_povm(lmap.model, model_cfg.fiducial), cfg.tol)
         rows.append(
             ["phase-space commutativity", pv.commutative, pv.max_commutator, str(pv.worst_pair)]
         )
@@ -269,7 +269,7 @@ def cmd_causality_scan(cfg: argparse.Namespace) -> int:
 
     if cfg.model is not None:
         model_cfg = model_config_from_json(load_json(cfg.model))
-        lmap, _ = build_construction(model_cfg)
+        lmap = build_construction(model_cfg)
         n = lmap.model.n_sites
         horizon = _default_horizon(cfg.t_max, n, lmap.model)
         report = schlieder_scan(lmap, horizon, cfg.tol, label=model_cfg.construction)

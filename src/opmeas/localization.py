@@ -11,8 +11,9 @@ built from a base POM over the sites at slice zero.  Three constructions
 are provided — sharp position, kernel-smeared position, and the position
 marginal of a discrete Weyl-covariant phase-space POVM — together with
 checkers for covariance, spacelike separation, and local commutativity.
-Strict and weak localizability are read off the singleton effects by
-``causality.singleton_conditions``.
+The marginal is a smeared map in closed form, built without the POVM's
+N^2 effects.  Strict and weak localizability are read off the singleton
+effects by ``causality.singleton_conditions``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .effects import TOL_ONE, Effect
 from .errors import GeometryError, NotHermitianError, OpmeasError
 from .linalg import (
+    TOL_EIG,
     HermitianEigen,
     as_matrix,
     commutator_norm,
@@ -36,7 +38,7 @@ from .linalg import (
     is_hermitian,
     largest_norm,
 )
-from .povm import Pom, _stack_pom, build_pom, effect_of
+from .povm import Pom, _stack_pom, effect_of
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -197,8 +199,8 @@ def smeared_position_map(model: LatticeModel, kernel) -> LocalizationMap:
     E_x = sum_y kernel[(x - y) mod N] |y><y|.  All effects are diagonal, so
     the map is commutative; it is shift-covariant because the construction
     is convolutional; and whenever the kernel has two or more nonzero
-    entries, every singleton effect has maximal eigenvalue
-    max(kernel) < 1, i.e. the map is strongly unsharp.
+    entries, every singleton effect has maximal eigenvalue max(kernel) < 1,
+    i.e. the map is strongly unsharp.  The kernel sums to 1 within TOL_EIG.
     """
     n = model.n_sites
     k = np.asarray(kernel, dtype=float).reshape(-1)
@@ -206,13 +208,13 @@ def smeared_position_map(model: LatticeModel, kernel) -> LocalizationMap:
         raise OpmeasError(f"kernel length {k.shape[0]} != n_sites {n}")
     if (k < 0).any():
         raise OpmeasError("kernel entries must be nonnegative")
-    if abs(k.sum() - 1.0) > 1e-12:
-        raise OpmeasError(f"kernel must sum to 1, got {k.sum()!r}")
-    effects = []
-    for x in range(n):
-        diag = np.array([k[(x - y) % n] for y in range(n)], dtype=complex)
-        effects.append(np.diag(diag))
-    return LocalizationMap(base_pom=build_pom(effects, require_normalized=True), model=model)
+    if abs(k.sum() - 1.0) > TOL_EIG:
+        raise OpmeasError(f"kernel must sum to 1, got {float(k.sum())!r}")
+    sites = np.arange(n)
+    stack = np.zeros((n, n, n), dtype=complex)
+    stack[:, sites, sites] = k[(sites[:, np.newaxis] - sites) % n]  # row x: k[(x - y) mod N]
+    stack.setflags(write=False)
+    return LocalizationMap(base_pom=_stack_pom(stack, require_normalized=True), model=model)
 
 
 def three_point_kernel(n: int, center: float = 0.5, side: float = 0.25) -> np.ndarray:
@@ -244,6 +246,17 @@ def gaussian_fiducial(n: int, width: float | None = None) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _unit_fiducial(model: LatticeModel, fiducial) -> np.ndarray:
+    """The fiducial as a complex n_sites-vector, checked for ||eta||^2 = 1 within TOL_EIG."""
+    n = model.n_sites
+    eta = np.asarray(fiducial, dtype=complex).reshape(-1)
+    if eta.shape[0] != n:
+        raise OpmeasError(f"fiducial length {eta.shape[0]} != n_sites {n}")
+    if abs(float(np.sum(np.abs(eta) ** 2)) - 1.0) > TOL_EIG:
+        raise OpmeasError("fiducial must be a unit vector")
+    return eta
+
+
 def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
     """Discrete Weyl orbit POVM on phase space Z_N x Z_N.
 
@@ -253,11 +266,7 @@ def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
     with N^2 rank-one effects, generically noncommutative.
     """
     n = model.n_sites
-    eta = np.asarray(fiducial, dtype=complex).reshape(-1)
-    if eta.shape[0] != n:
-        raise OpmeasError(f"fiducial length {eta.shape[0]} != n_sites {n}")
-    if abs(np.linalg.norm(eta) - 1.0) > 1e-10:
-        raise OpmeasError("fiducial must be a unit vector")
+    eta = _unit_fiducial(model, fiducial)
     omega = np.exp(2j * np.pi * np.arange(n) / n)
     # one power per p: a broadcast omega**p rounds differently
     mods = np.array([(omega**p) * eta for p in range(n)])  # row p is Z^p eta
@@ -271,22 +280,17 @@ def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
     return _stack_pom(stack, require_normalized=True, outcomes=outcomes)
 
 
-def position_marginal(povm: Pom, model: LatticeModel) -> LocalizationMap:
-    """Collapse a phase-space POM to its position coordinate.
+def position_marginal(model: LatticeModel, fiducial) -> LocalizationMap:
+    """Position marginal of ``coherent_state_povm(model, fiducial)``, in
+    closed form, without building the POVM.
 
-    E_q = sum_p G(q, p); the outcome grid must be exactly
-    {(q, p) : q, p in Z_N}.  For Weyl-orbit POVMs the marginal is diagonal
-    in the position basis, hence commutative.
+    sum_p Z^p |eta><eta| Z^-p = N diag(|eta|^2), so E_q = sum_p G(q, p) =
+    diag(|eta(x - q)|^2): the smeared map with kernel k[j] = |eta(-j)|^2.
+    It is diagonal, hence commutative, and exactly shift-covariant.
     """
     n = model.n_sites
-    expected = {(q, p) for q in range(n) for p in range(n)}
-    if set(povm.outcomes) != expected:
-        raise OpmeasError("outcome grid is not Z_N x Z_N for this model")
-    effects = [effect_of(povm, {(q, p) for p in range(n)}).op for q in range(n)]
-    return LocalizationMap(
-        base_pom=build_pom(effects, require_normalized=povm.normalized),
-        model=model,
-    )
+    eta = _unit_fiducial(model, fiducial)
+    return smeared_position_map(model, np.abs(eta[-np.arange(n) % n]) ** 2)
 
 
 # ---------------------------------------------------------------------------

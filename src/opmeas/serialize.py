@@ -28,7 +28,6 @@ from .errors import OpmeasError
 from .localization import (
     LatticeModel,
     LocalizationMap,
-    coherent_state_povm,
     gaussian_fiducial,
     make_model,
     position_marginal,
@@ -172,9 +171,13 @@ def model_config_from_json(obj) -> ModelConfig:
     kernel = obj.get("kernel")
     if kernel is not None:
         kernel = _expand_kernel(kernel, n)
+    elif construction == "smeared":
+        kernel = three_point_kernel(n)
     fiducial = obj.get("fiducial")
     if fiducial is not None:
         fiducial = _parse_vector(fiducial, n)
+    elif construction == "coherent":
+        fiducial = gaussian_fiducial(n)
     return ModelConfig(
         n_sites=n,
         hamiltonian=ham,
@@ -223,18 +226,15 @@ def build_model(cfg: ModelConfig) -> LatticeModel:
     )
 
 
-def build_construction(cfg: ModelConfig) -> tuple[LocalizationMap, Pom | None]:
+def build_construction(cfg: ModelConfig) -> LocalizationMap:
     """Realize the configured localization map.
 
-    Returns the map plus, for the coherent construction, the full
-    phase-space POVM whose position marginal the map is.
+    The coherent construction is the closed-form position marginal of the
+    fiducial's phase-space POVM; the POVM itself is not built here.
     """
     model = build_model(cfg)
     if cfg.construction == "sharp":
-        return sharp_position_map(model), None
+        return sharp_position_map(model)
     if cfg.construction == "smeared":
-        kernel = cfg.kernel if cfg.kernel is not None else three_point_kernel(cfg.n_sites)
-        return smeared_position_map(model, kernel), None
-    fiducial = cfg.fiducial if cfg.fiducial is not None else gaussian_fiducial(cfg.n_sites)
-    povm = coherent_state_povm(model, fiducial)
-    return position_marginal(povm, model), povm
+        return smeared_position_map(model, cfg.kernel)
+    return position_marginal(model, cfg.fiducial)

@@ -161,14 +161,14 @@ def test_criterion_06_lattice_commutator_and_strong_unsharpness(capsys):
     )
 
 
-def test_criterion_07_phase_space_povm_vs_marginal(capsys):
+def test_criterion_07_phase_space_povm_vs_marginal(capsys, povm_marginal):
     worst_noncomm = np.inf
     worst_marginal = 0.0
     for n in range(4, 17):
         model = make_model(n)
         povm = coherent_state_povm(model, gaussian_fiducial(n))
         worst_noncomm = min(worst_noncomm, is_commutative(povm).max_commutator)
-        marg = position_marginal(povm, model)
+        marg = povm_marginal(povm, model)
         worst_marginal = max(worst_marginal, is_commutative(marg.base_pom).max_commutator)
     ok = worst_noncomm > 1e-6 and worst_marginal <= TOL_MARGINAL
     assert _report(

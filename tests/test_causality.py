@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from opmeas import causality
+from opmeas import povm as povm_module
 from opmeas.causality import (
     ConditionRow,
     builtin_model_family,
@@ -226,7 +226,7 @@ def test_schlieder_scan_smeared_verdict():
 
 def test_schlieder_scan_coherent_marginal_verdict():
     model = make_model(16)
-    marg = position_marginal(coherent_state_povm(model, gaussian_fiducial(16)), model)
+    marg = position_marginal(model, gaussian_fiducial(16))
     rep = schlieder_scan(marg, max_t=2, label="coherent/hopping")
     assert rep.verdict == "strongly_unsharp"
     assert rep.findings == ()
@@ -264,19 +264,20 @@ def test_family_consistency_assertion_never_fires():
         assert rep.findings == (), f"{label}: {rep.findings}"
 
 
-def test_builtin_model_family_builds_each_coherent_povm_once(monkeypatch):
-    built = []
+def test_builtin_model_family_builds_no_povm(monkeypatch):
+    screened, screen = [], povm_module._screen
 
-    def counting(model, fiducial):
-        built.append(model.n_sites)
-        return coherent_state_povm(model, fiducial)
+    def recording(stack, tol):  # every POM, of any construction, passes the screen once
+        screened.append(len(stack))
+        return screen(stack, tol)
 
-    monkeypatch.setattr(causality, "coherent_state_povm", counting)
+    monkeypatch.setattr(povm_module, "_screen", recording)
     family = dict(builtin_model_family(sizes=(4, 6)))
-    assert built == [4, 6]  # static and hopping marginals share their size's POVM
-    static, hopping = family["coherent-marginal/static/N=6"], family["coherent-marginal/hopping/N=6"]
-    assert np.array_equal(static.base_pom.stack, hopping.base_pom.stack)
-    assert static.model.n_sites == hopping.model.n_sites == 6
+    assert screened and set(screened) == {4, 6}  # N outcomes per POM, never the N^2 of a POVM
+    for n in (4, 6):
+        static, hopping = family[f"coherent-marginal/static/N={n}"], family[f"coherent-marginal/hopping/N={n}"]
+        assert np.array_equal(static.base_pom.stack, hopping.base_pom.stack)
+        assert static.model.n_sites == hopping.model.n_sites == n
 
 
 def _check_covariance_loop(lmap, a, tol=1e-12):
@@ -359,11 +360,12 @@ def test_singleton_conditions_match_loops_exactly(seed, n, kind):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_singleton_conditions_match_loops_on_builtin_maps(n):
+def test_singleton_conditions_match_loops_on_builtin_maps(n, povm_marginal):
     for _, lmap in builtin_model_family(sizes=(n,))[3:]:  # the hopping half: same POMs as static
         _assert_singletons_match_loops(lmap)
     rng = np.random.default_rng(n)
     eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     model = make_model(n)
     povm = coherent_state_povm(model, eta / np.linalg.norm(eta))
-    _assert_singletons_match_loops(position_marginal(povm, model))
+    _assert_singletons_match_loops(povm_marginal(povm, model))
+    _assert_singletons_match_loops(position_marginal(model, eta / np.linalg.norm(eta)))

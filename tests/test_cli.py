@@ -10,6 +10,7 @@ import pytest
 from opmeas.causality import schlieder_scan, singleton_conditions
 from opmeas.cli import main
 from opmeas.effects import validate_effect
+from opmeas.localization import gaussian_fiducial
 from opmeas.povm import build_pom
 from opmeas.serialize import (
     build_construction,
@@ -244,6 +245,31 @@ def test_localization_demo_coherent_reports_phase_space(tmp_path, capsys):
     assert rows["base commutativity"]["holds"] is True
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_localization_demo_coherent_marginal_commutes_exactly(n, tmp_path, capsys):
+    # the closed-form marginal is diagonal: no rounding noise for any tol to see
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n_sites": n, "construction": "coherent"}))
+    argv = ["localization-demo", "--model", str(path), "--tol", "1e-30", "--format", "json"]
+    assert main(argv) == 0
+    row = _demo_rows(json.loads(capsys.readouterr().out))["base commutativity"]
+    assert row["holds"] is True and row["value"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["localization-demo", "causality-scan"])
+def test_fiducial_norm_boundary(command, tmp_path, capsys):
+    # |eta|^2 must be 1 within 1e-10: scale 1 +- 4e-11 passes, 1 +- 6e-11 is an input error
+    path = tmp_path / "model.json"
+    eta = gaussian_fiducial(8)
+    for scale, code in [(1 - 4e-11, 0), (1 + 4e-11, 0), (1 - 6e-11, 1), (1 + 6e-11, 1)]:
+        fiducial = [[float(z.real), float(z.imag)] for z in eta * scale]
+        path.write_text(json.dumps({"n_sites": 8, "construction": "coherent", "fiducial": fiducial}))
+        assert main([command, "--model", str(path)]) == code, scale
+        err = capsys.readouterr().err
+        if code:
+            assert err == "opmeas: error: fiducial must be a unit vector\n"
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -260,7 +286,7 @@ def test_localization_demo_rows_equal_schlieder_scan(cfg, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["localization-demo", "--model", str(path), "--format", "json"]) == 0
     rows = _demo_rows(json.loads(capsys.readouterr().out))
-    lmap, _ = build_construction(model_config_from_json(cfg))
+    lmap = build_construction(model_config_from_json(cfg))
     report = schlieder_scan(lmap, max_t=1)
     for name in ("covariance", "localizability", "weak localizability"):
         scan_row = report.condition_row(name)

@@ -271,13 +271,65 @@ def test_coherent_povm_rejects_unnormalized_fiducial():
         coherent_state_povm(model, np.ones(6))
 
 
+@pytest.mark.parametrize("build", [coherent_state_povm, position_marginal])
+def test_fiducial_norm_is_checked_against_the_normalization_tolerance(build):
+    # |eta|^2 within TOL_EIG = 1e-10 of 1: scale 1 +- 4e-11 passes, 1 +- 6e-11 does not
+    model, eta = make_model(8), gaussian_fiducial(8)
+    for scale in (1 - 4e-11, 1 + 4e-11):
+        build(model, eta * scale)
+    for scale in (1 - 6e-11, 1 + 6e-11):
+        with pytest.raises(OpmeasError, match="^fiducial must be a unit vector$"):
+            build(model, eta * scale)
+    with pytest.raises(OpmeasError, match="fiducial length 7 != n_sites 8"):
+        build(model, eta[:7])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 13])
+def test_smeared_stack_matches_the_diagonal_loop_byte_for_byte(n):
+    kernel = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    kernel /= kernel.sum()
+    loop = np.array([np.diag([kernel[(x - y) % n] for y in range(n)]) for x in range(n)], dtype=complex)
+    assert smeared_position_map(make_model(n), kernel).base_pom.stack.tobytes() == loop.tobytes()
+
+
+def test_smeared_kernel_sum_is_checked_against_the_normalization_tolerance():
+    model = make_model(8)
+    kernel = three_point_kernel(8)
+    smeared_position_map(model, kernel * (1 + 5e-11))
+    with pytest.raises(OpmeasError) as info:
+        smeared_position_map(model, kernel * (1 + 2e-10))
+    assert str(info.value) == f"kernel must sum to 1, got {float(np.sum(kernel * (1 + 2e-10)))!r}"
+    assert "np.float64" not in str(info.value)
+
+
+@pytest.mark.parametrize("fiducial", ["gaussian", "random"])
+def test_position_marginal_matches_the_povm_sum(fiducial, povm_marginal):
+    rng = np.random.default_rng(13)
+    for n in range(2, 33):
+        model = make_model(n)
+        if fiducial == "gaussian":
+            eta = gaussian_fiducial(n)
+        else:
+            eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            eta /= np.linalg.norm(eta)
+        closed = position_marginal(model, eta)
+        reference = povm_marginal(coherent_state_povm(model, eta), model)
+        assert np.abs(closed.base_pom.stack - reference.base_pom.stack).max() <= 1e-15, n
+        diagonal = np.arange(n)
+        off = closed.base_pom.stack.copy()
+        off[:, diagonal, diagonal] = 0.0
+        assert not off.any(), n
+        assert closed.base_pom.normalized
+        for a in range(n):
+            assert check_covariance(closed, a).residual == 0.0, (n, a)
+
+
 def test_coherent_marginal_is_smeared_sharp():
     # Marginal over momentum: E_q = diag(|eta(x - q)|^2) — a smeared
     # position map with kernel |eta|^2.
     model = make_model(8)
     eta = gaussian_fiducial(8)
-    povm = coherent_state_povm(model, eta)
-    marg = position_marginal(povm, model)
+    marg = position_marginal(model, eta)
     for q in range(8):
         expected = np.diag([abs(eta[(x - q) % 8]) ** 2 for x in range(8)])
         assert np.allclose(marg.base_pom.effects[q].op, expected, atol=1e-12)
@@ -288,20 +340,20 @@ def test_coherent_marginal_point_fiducial_is_sharp():
     model = make_model(4)
     point = np.zeros(4)
     point[0] = 1.0
-    povm = coherent_state_povm(model, point)
-    marg = position_marginal(povm, model)
+    marg = position_marginal(model, point)
     sharp = sharp_position_map(model)
     for q in range(4):
         assert np.allclose(marg.base_pom.effects[q].op, sharp.base_pom.effects[q].op, atol=1e-14)
 
 
-def test_coherent_povm_noncommutative_but_marginal_commutes():
+def test_coherent_povm_noncommutative_but_marginal_commutes(povm_marginal):
     model = make_model(8)
     povm = coherent_state_povm(model, gaussian_fiducial(8))
     rep = is_commutative(povm)
     assert not rep.commutative and rep.max_commutator > 1e-6
-    marg = position_marginal(povm, model)
+    marg = povm_marginal(povm, model)
     assert is_commutative(marg.base_pom).max_commutator <= 1e-10
+    assert is_commutative(position_marginal(model, gaussian_fiducial(8)).base_pom).max_commutator == 0.0
 
 
 def test_local_commutativity_equal_time_sharp_is_exact():

@@ -357,7 +357,7 @@ def test_is_commutative_matches_pair_loop_below_underflow():
 
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("fiducial", ["gaussian", "random"])
-def test_is_commutative_matches_pair_loop_on_coherent_povms(n, fiducial):
+def test_is_commutative_matches_pair_loop_on_coherent_povms(n, fiducial, povm_marginal):
     model = make_model(n)
     if fiducial == "gaussian":
         eta = gaussian_fiducial(n)
@@ -367,7 +367,8 @@ def test_is_commutative_matches_pair_loop_on_coherent_povms(n, fiducial):
         eta /= np.linalg.norm(eta)
     povm = coherent_state_povm(model, eta)
     _assert_scan_matches_loop(povm)
-    _assert_scan_matches_loop(position_marginal(povm, model).base_pom)
+    _assert_scan_matches_loop(povm_marginal(povm, model).base_pom)
+    _assert_scan_matches_loop(position_marginal(model, eta).base_pom)
 
 
 def coarse_grain(pom, partition):

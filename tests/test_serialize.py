@@ -9,7 +9,13 @@ import pytest
 
 from opmeas.effects import validate_effect
 from opmeas.errors import OpmeasError
-from opmeas.localization import sharp_position_map, three_point_kernel
+from opmeas.localization import (
+    coherent_state_povm,
+    gaussian_fiducial,
+    position_marginal,
+    sharp_position_map,
+    three_point_kernel,
+)
 from opmeas.povm import build_pom
 from opmeas.serialize import (
     ModelConfig,
@@ -138,8 +144,7 @@ def test_short_kernel_zero_padded():
     cfg = model_config_from_json(
         {"n_sites": 8, "construction": "smeared", "kernel": [0.5, 0.25, 0.25]}
     )
-    lmap, povm = build_construction(cfg)
-    assert povm is None
+    lmap = build_construction(cfg)
     e0 = lmap.base_pom.effects[0].op
     # offsets 0..2 get the mass; offset 7 (i.e. k[-1]) stays zero
     assert e0[0, 0] == pytest.approx(0.5)
@@ -151,8 +156,9 @@ def test_short_kernel_zero_padded():
 
 def test_smeared_defaults_to_three_point_kernel():
     cfg = model_config_from_json({"n_sites": 8, "construction": "smeared"})
-    lmap, _ = build_construction(cfg)
+    lmap = build_construction(cfg)
     expected = three_point_kernel(8)
+    assert np.array_equal(cfg.kernel, expected)  # resolved once, by the loader
     e0 = lmap.base_pom.effects[0].op
     assert e0[0, 0] == pytest.approx(expected[0])
     assert e0[1, 1] == pytest.approx(expected[-1])
@@ -160,18 +166,21 @@ def test_smeared_defaults_to_three_point_kernel():
 
 def test_sharp_construction_matches_direct():
     cfg = model_config_from_json({"n_sites": 6})
-    lmap, povm = build_construction(cfg)
-    assert povm is None
+    lmap = build_construction(cfg)
+    assert cfg.kernel is None and cfg.fiducial is None
     direct = sharp_position_map(build_model(cfg))
     for a, b in zip(lmap.base_pom.effects, direct.base_pom.effects):
         assert np.array_equal(a.op, b.op)
 
 
-def test_coherent_construction_returns_povm():
+def test_coherent_construction_returns_the_position_marginal():
     cfg = model_config_from_json({"n_sites": 6, "construction": "coherent"})
-    lmap, povm = build_construction(cfg)
-    assert povm is not None and len(povm) == 36
+    assert np.array_equal(cfg.fiducial, gaussian_fiducial(6))  # resolved once, by the loader
+    lmap = build_construction(cfg)
     assert len(lmap.base_pom) == 6  # the position marginal
+    direct = position_marginal(build_model(cfg), gaussian_fiducial(6))
+    assert np.array_equal(lmap.base_pom.stack, direct.base_pom.stack)
+    assert len(coherent_state_povm(lmap.model, cfg.fiducial)) == 36  # the POVM it marginalizes
 
     # complex fiducial via [re, im] pairs
     v = np.zeros(6)
@@ -179,7 +188,7 @@ def test_coherent_construction_returns_povm():
     cfg2 = model_config_from_json(
         {"n_sites": 6, "construction": "coherent", "fiducial": [[1.0, 0.0]] + [[0.0, 0.0]] * 5}
     )
-    lmap2, _ = build_construction(cfg2)
+    lmap2 = build_construction(cfg2)
     assert lmap2.base_pom.effects[0].op[0, 0] == pytest.approx(1.0)
 
 
