@@ -8,8 +8,10 @@ parent commit::
 For every workload in BENCHMARK.json, ``perfbench/run.py`` runs in both
 checkouts at the benchmark's run length: ``PAIRS`` pairs with ``--trace 0``
 (pair i at seed i, alternating which side runs first), then one ``--trace 1``
-run per side at seed 1.  The file keeps every run, and per side the median
-and quartiles of each end-to-end metric and the traced per-layer metrics.
+run per side at seed 1.  The file keeps every run, per side the median and
+quartiles of each end-to-end metric and the traced per-layer metrics, and
+per workload how many pairs each side won on each end-to-end metric (ties
+count for neither side).
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def summary(runs: list[dict]) -> dict:
     return {name: {"median": med, "q1": q1, "q3": q3} for name, (q1, med, q3) in quartiles.items()}
 
 
+def pairs_won(metrics: list[dict], parent: list[dict], change: list[dict]) -> dict:
+    """Pairs won by each side on each end-to-end metric, by its ``better`` direction."""
+    won = {}
+    for m in metrics:
+        sign = 1 if m["better"] == "lower" else -1
+        gains = [sign * (p["metrics"][m["name"]] - c["metrics"][m["name"]]) for p, c in zip(parent, change)]
+        won[m["name"]] = {"change": sum(g > 0 for g in gains), "parent": sum(g < 0 for g in gains)}
+    return won
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -58,6 +70,8 @@ def main() -> int:
             side: {"end_to_end": summary(runs[side]), "runs": runs[side],
                    "trace": bench(root, workload, 1, config["run_seconds"], 1)}
             for side, root in sides.items()}
+        result["workloads"][workload]["pairs_won"] = pairs_won(
+            config["end_to_end"], runs["parent"], runs["change"])
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
     return 0

@@ -63,6 +63,7 @@ from .localization import (
     gaussian_fiducial,
     hopping_hamiltonian,
     make_model,
+    phase_space_commutativity,
     position_marginal,
     propagator,
     sharp_position_map,
@@ -117,8 +118,8 @@ __all__ = [
     "LatticeModel", "LocalizationMap", "SpatialSet", "check_covariance",
     "check_local_commutativity", "coherent_state_povm", "cyclic_distance",
     "effect_for", "evolve_effect", "gaussian_fiducial", "hopping_hamiltonian",
-    "make_model", "position_marginal", "propagator", "sharp_position_map",
-    "shift_matrix", "smeared_position_map", "spacelike_separated",
+    "make_model", "phase_space_commutativity", "position_marginal", "propagator",
+    "sharp_position_map", "shift_matrix", "smeared_position_map", "spacelike_separated",
     "three_point_kernel", "zero_hamiltonian",
     # luders
     "LudersInstrument", "State", "causality_check_C", "heisenberg_dual",

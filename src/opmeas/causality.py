@@ -34,6 +34,7 @@ from .localization import (
     LatticeModel,
     LocalizationMap,
     SpatialSet,
+    _require_unit,
     check_covariance,
     check_local_commutativity,
     cyclic_distance,
@@ -107,8 +108,7 @@ def leakage_scan(
     v = np.asarray(phi, dtype=complex).reshape(-1)
     if v.shape[0] != model.n_sites:
         raise OpmeasError("state length does not match the lattice")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise OpmeasError("initial state must be a unit vector")
+    _require_unit(v, "initial state")
     ts = np.asarray(times, dtype=float).reshape(-1)
     if (ts < 0).any():
         raise GeometryError("leakage times must be nonnegative")

@@ -36,7 +36,7 @@ from .effects import is_sharp, is_strongly_unsharp, spectral_projection
 from .ensembles import run_objectivity_trials, run_prop1_trials
 from .errors import OpmeasError
 from .linalg import eig_hermitian
-from .localization import SpatialSet, coherent_state_povm
+from .localization import SpatialSet, phase_space_commutativity
 from .luders import proposition1_verify
 from .povm import is_commutative
 from .serialize import (
@@ -226,8 +226,8 @@ def cmd_localization_demo(cfg: argparse.Namespace) -> int:
         ["base commutativity", base_comm.commutative, base_comm.max_commutator, str(base_comm.worst_pair)],
         ["strong unsharpness", table.strongly_unsharp, table.max_eigenvalue, "max singleton eigenvalue"],
     ]
-    if model_cfg.construction == "coherent":  # the one row that reads the POVM
-        pv = is_commutative(coherent_state_povm(lmap.model, model_cfg.fiducial), cfg.tol)
+    if model_cfg.construction == "coherent":
+        pv = phase_space_commutativity(lmap.model, model_cfg.fiducial, cfg.tol)
         rows.append(
             ["phase-space commutativity", pv.commutative, pv.max_commutator, str(pv.worst_pair)]
         )

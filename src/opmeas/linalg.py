@@ -15,17 +15,11 @@ Operator families are ``(K, d, d)`` stacks.  ``op_norms`` is the one exact-norm
 kernel: one stacked SVD for a whole stack (``op_norm`` is its one-matrix
 call).  ``frobenius_norms`` bounds the operator norm of every matrix of a
 stack at once, and ``pair_bounds`` does so for the products of every pair of
-a family.  For the commutators of a family that is rank one up to rounding,
-``rank_one_bounds`` gives tighter bounds from one K x K Gram matrix of top
-eigenvectors: the closed form of a rank-one commutator, plus the measured
-residuals and an absolute rounding slack.  It returns None, so that the
-caller falls back to ``pair_bounds``, when a residual is not tiny or when
-the family commutes up to rounding.  ``largest_norm`` then finds the largest
-exact norm in two tiers: it walks the bounds in descending order in chunks,
-screens each chunk's survivors with the tighter Schatten-8 bound
-(``schatten8_norms``), and takes the exact norms of what is left with one
-``op_norms`` call per chunk.  A chunk holds at most ``BLOCK_ENTRIES``
-entries (1 MiB per temporary), whatever the size of the family.
+a family.  ``largest_norm`` then finds the largest exact norm: it walks the
+bounds in descending order in chunks and takes the exact norms of each
+chunk's survivors with one ``op_norms`` call.  A chunk holds at most
+``BLOCK_ENTRIES`` entries (1 MiB per temporary), whatever the size of the
+family.
 """
 
 from __future__ import annotations
@@ -56,10 +50,6 @@ _TRUSTED_SQUARES = 2.0**-900
 # Complex entries per block of a stacked pass, and per chunk of exact norms
 # in ``largest_norm`` (1 MiB per temporary).
 BLOCK_ENTRIES = 1 << 16
-# Absolute rounding slack of ``rank_one_bounds``, in units of d * 2**-52: the
-# Gram entries, the squared lengths and the commutator products each round by
-# a few d * eps, which this covers with room to spare.
-_GRAM_SLACK = 16
 
 
 def as_matrix(m) -> np.ndarray:
@@ -181,27 +171,6 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def schatten8_norms(stack: np.ndarray) -> np.ndarray:
-    """Schatten 8-norm ``||(M†M)^2||_F^(1/4)`` of each matrix M of a (K, d, d)
-    stack, an upper bound on its operator norm.
-
-    It is never above the Frobenius norm and is much closer to the operator
-    norm when few singular values share the top: for a rank-two matrix with
-    equal singular values it is 2**(1/8) times the norm, against sqrt(2).
-    Where the sum of squares of (M†M)^2 is below ``_TRUSTED_SQUARES``,
-    underflow may have eaten part of it; where it is not finite, it has
-    overflowed.  Either way the matrix gets its Frobenius bound instead.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = dagger(stack) @ stack
-        squares = _sum_squares(gram @ gram)
-    bounds = squares**0.125
-    untrusted = ~((squares >= _TRUSTED_SQUARES) & (squares < np.inf))
-    if untrusted.any():
-        bounds[untrusted] = frobenius_norms(stack[untrusted])
-    return bounds
-
-
 def pair_bounds(
     left: np.ndarray,
     right: np.ndarray,
@@ -238,73 +207,6 @@ def pair_bounds(
     return bounds
 
 
-def rank_one_bounds(
-    stack: np.ndarray, values: np.ndarray, vectors: np.ndarray
-) -> np.ndarray | None:
-    """Upper bounds on ``||[E_a, E_b]||_2`` over a < b, in row-major order as
-    ``pair_bounds`` gives them, for a (K, d, d) stack whose matrices are rank
-    one up to rounding; None when they are not, or when the bounds would be
-    no use.
-
-    ``values[a]`` and ``vectors[a]`` are an eigenpair (λ_a, v_a) of E_a, the
-    top one of its Hermitian part.  With the residual
-    ``r_a = ||E_a - λ_a v_a v_a†||_F`` and the Gram entry ``g_ab = <v_a|v_b>``,
-    ``E_a = λ_a v_a v_a† + R_a`` gives, since the rank-one commutator has
-    norm ``|g| sqrt(|v_a|²|v_b|² - |g|²)``,
-
-        ||[E_a, E_b]|| <= |λ_a λ_b g_ab| s_ab + 2(|λ_a| r_b + |λ_b| r_a + r_a r_b)
-                          + u ||E_a||_F ||E_b||_F,
-        s_ab = sqrt(max(0, |v_a|²|v_b|² - |g_ab|²) + u),  u = _GRAM_SLACK d eps.
-
-    The u inside s_ab covers the rounding of the difference, which cancels as
-    |g| tends to 1 (a duplicated effect); the last term covers the rounding
-    of the commutator that the exact tier forms.  The residual is measured
-    against E_a itself, so it also covers a skew part and any eigensolver
-    error; the middle term takes ||v_a v_a†|| as 1, which holds for unit
-    vectors up to a relative rounding that ``BOUND_MARGIN`` covers.  The
-    bounds take one K x K Gram matrix and O(K d²) residual work instead of
-    ``pair_bounds``' O(K² d³) products.
-
-    None when a residual exceeds u ||E_a||_F (the matrices are not rank one),
-    when a bound is not finite (norms that under- or overflow), or when every
-    closed form ``|λ_a λ_b g_ab| sqrt(max(0, ...))`` is within the rest of
-    its bound.  That last family commutes up to rounding, such as rank-one
-    projections onto basis vectors, and ``pair_bounds`` serves it better: its
-    bounds are exact zeros, where these would send every pair to an exact
-    norm.
-    """
-    k, d, _ = stack.shape
-    unit = _GRAM_SLACK * d * np.finfo(float).eps
-    fro = frobenius_norms(stack)
-    residuals = np.empty(k)
-    step = max(1, BLOCK_ENTRIES // (d * d))
-    for start in range(0, k, step):
-        block = slice(start, start + step)
-        v = vectors[block]
-        tops = v[:, :, np.newaxis] * v[:, np.newaxis].conj()
-        tops *= values[block, np.newaxis, np.newaxis]
-        residuals[block] = frobenius_norms(stack[block] - tops)
-    if not np.all(residuals <= unit * fro):
-        return None
-    rows, cols = np.triu_indices(k, 1)
-    # einsum, not a matrix product: a (K, d) x (d, K) product is large enough
-    # for a threaded BLAS, whose idle threads then spin through the rest of
-    # the scan and double its CPU time
-    gram = np.abs(np.einsum("ad,bd->ab", vectors.conj(), vectors))[rows, cols]
-    lengths = _sum_squares(vectors)
-    weights = np.abs(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite means None
-        closed = weights[rows] * weights[cols] * gram
-        perp = np.maximum(0.0, lengths[rows] * lengths[cols] - gram * gram)
-        bounds = closed * np.sqrt(perp + unit)
-        closed *= np.sqrt(perp)
-        bounds += 2 * (weights[rows] * residuals[cols] + weights[cols] * residuals[rows])
-        bounds += 2 * residuals[rows] * residuals[cols] + unit * fro[rows] * fro[cols]
-    if not np.all(np.isfinite(bounds)) or np.all(2 * closed <= bounds):
-        return None
-    return bounds
-
-
 def largest_norm(
     bounds: np.ndarray, matrices: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, int]:
@@ -315,9 +217,9 @@ def largest_norm(
     The indices are walked in order of descending bound, in chunks that start
     at one index and double up to ``BLOCK_ENTRIES // d**2`` matrices.  A chunk
     stops the walk at the first bound that is zero or that, inflated by
-    ``BOUND_MARGIN`` for rounding, is below the running maximum.  The matrices
-    of the indices before it are screened with their Schatten-8 bound (same
-    test), and the survivors' exact norms come from one ``op_norms`` call.
+    ``BOUND_MARGIN`` for rounding, is below the running maximum.  The exact
+    norms of the matrices of the indices before it come from one
+    ``op_norms`` call.
     Only matrices whose norm is below the final maximum are skipped, so the
     maximum is the one a plain loop over every index would find, bit for bit.
     Returns it with the first index that attains it (ties go to the first
@@ -337,11 +239,9 @@ def largest_norm(
         if len(ps):
             stack = matrices(ps)
             cap = max(1, BLOCK_ENTRIES // stack[0].size)
-            keep = ~(schatten8_norms(stack) * (1 + BOUND_MARGIN) < worst)
-            if keep.any():
-                for p, value in zip(ps[keep], op_norms(stack[keep])):
-                    if value > worst or (value == worst and p < worst_at):
-                        worst, worst_at = float(value), int(p)
+            for p, value in zip(ps, op_norms(stack)):
+                if value > worst or (value == worst and p < worst_at):
+                    worst, worst_at = float(value), int(p)
         size = min(2 * size, cap)
     return worst, worst_at
 

@@ -11,9 +11,11 @@ built from a base POM over the sites at slice zero.  Three constructions
 are provided — sharp position, kernel-smeared position, and the position
 marginal of a discrete Weyl-covariant phase-space POVM — together with
 checkers for covariance, spacelike separation, and local commutativity.
-The marginal is a smeared map in closed form, built without the POVM's
-N^2 effects.  Strict and weak localizability are read off the singleton
-effects by ``causality.singleton_conditions``.
+The marginal is a smeared map in closed form, and
+``phase_space_commutativity`` finds the POVM's largest commutator in closed
+form; neither builds the POVM's N^2 effects.  Strict and weak
+localizability are read off the singleton effects by
+``causality.singleton_conditions``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import GeometryError, NotHermitianError, OpmeasError
 from .linalg import (
     TOL_EIG,
     HermitianEigen,
+    _sum_squares,
     as_matrix,
     commutator_norm,
     eig_hermitian,
@@ -38,7 +41,7 @@ from .linalg import (
     is_hermitian,
     largest_norm,
 )
-from .povm import Pom, _stack_pom, effect_of
+from .povm import CommutativityReport, Pom, _stack_pom, effect_of
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -217,33 +220,36 @@ def smeared_position_map(model: LatticeModel, kernel) -> LocalizationMap:
     return LocalizationMap(base_pom=_stack_pom(stack, require_normalized=True), model=model)
 
 
-def three_point_kernel(n: int, center: float = 0.5, side: float = 0.25) -> np.ndarray:
-    """Kernel with weight at offsets -1, 0, +1 and zeros elsewhere."""
+def three_point_kernel(n: int) -> np.ndarray:
+    """Kernel with weight 1/2 at offset 0, 1/4 at offsets -1 and +1, and zeros elsewhere."""
     if n < 3:
         raise OpmeasError("three-point kernel needs n >= 3")
-    if abs(center + 2 * side - 1.0) > 1e-12:
-        raise OpmeasError("center + 2*side must equal 1")
     k = np.zeros(n)
-    k[0] = center
-    k[1] = side
-    k[-1] = side
+    k[0] = 0.5
+    k[1] = 0.25
+    k[-1] = 0.25
     return k
 
 
-def gaussian_fiducial(n: int, width: float | None = None) -> np.ndarray:
-    """Periodic discrete Gaussian centred at site 0, unit norm.
+def gaussian_fiducial(n: int) -> np.ndarray:
+    """Periodic discrete Gaussian of width n/8 centred at site 0, unit norm.
 
-    Width defaults to n/8.  Amplitudes fall off with cyclic distance, so
-    the vector wraps smoothly.
+    Amplitudes fall off with cyclic distance, so the vector wraps smoothly.
     """
-    sigma = n / 8.0 if width is None else float(width)
-    if sigma <= 0:
-        raise OpmeasError("width must be positive")
+    sigma = n / 8.0
     amp = np.array(
         [math.exp(-cyclic_distance(n, x, 0) ** 2 / (4.0 * sigma**2)) for x in range(n)]
     )
     v = amp.astype(complex)
     return v / np.linalg.norm(v)
+
+
+def _require_unit(v: np.ndarray, what: str) -> np.ndarray:
+    """v, checked for ||v||^2 = 1 within TOL_EIG, the normalization tolerance
+    of a POM; the error names it as ``what``."""
+    if abs(float(np.sum(np.abs(v) ** 2)) - 1.0) > TOL_EIG:
+        raise OpmeasError(f"{what} must be a unit vector")
+    return v
 
 
 def _unit_fiducial(model: LatticeModel, fiducial) -> np.ndarray:
@@ -252,9 +258,19 @@ def _unit_fiducial(model: LatticeModel, fiducial) -> np.ndarray:
     eta = np.asarray(fiducial, dtype=complex).reshape(-1)
     if eta.shape[0] != n:
         raise OpmeasError(f"fiducial length {eta.shape[0]} != n_sites {n}")
-    if abs(float(np.sum(np.abs(eta) ** 2)) - 1.0) > TOL_EIG:
-        raise OpmeasError("fiducial must be a unit vector")
-    return eta
+    return _require_unit(eta, "fiducial")
+
+
+def _weyl_orbit(eta: np.ndarray) -> np.ndarray:
+    """The (N^2, N) Weyl orbit vectors X^q Z^p eta of ``coherent_state_povm``,
+    row q * N + p; row 0 is eta itself."""
+    n = eta.shape[0]
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    # one power per p: a broadcast omega**p rounds differently
+    mods = np.array([(omega**p) * eta for p in range(n)])  # row p is Z^p eta
+    sites = np.arange(n)
+    # X^q: amplitude at x comes from x - q
+    return mods[:, (sites[np.newaxis] - sites[:, np.newaxis]) % n].swapaxes(0, 1).reshape(n * n, n)
 
 
 def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
@@ -266,18 +282,50 @@ def coherent_state_povm(model: LatticeModel, fiducial) -> Pom:
     with N^2 rank-one effects, generically noncommutative.
     """
     n = model.n_sites
-    eta = _unit_fiducial(model, fiducial)
-    omega = np.exp(2j * np.pi * np.arange(n) / n)
-    # one power per p: a broadcast omega**p rounds differently
-    mods = np.array([(omega**p) * eta for p in range(n)])  # row p is Z^p eta
-    sites = np.arange(n)
-    # X^q: amplitude at x comes from x - q; row q * n + p is X^q Z^p eta
-    vecs = mods[:, (sites[np.newaxis] - sites[:, np.newaxis]) % n].swapaxes(0, 1).reshape(n * n, n)
+    vecs = _weyl_orbit(_unit_fiducial(model, fiducial))
     stack = np.multiply(vecs[:, :, np.newaxis], vecs.conj()[:, np.newaxis])
     stack /= n
     stack.setflags(write=False)
     outcomes = [(q, p) for q in range(n) for p in range(n)]
     return _stack_pom(stack, require_normalized=True, outcomes=outcomes)
+
+
+def phase_space_commutativity(
+    model: LatticeModel, fiducial, tol: float = TOL_ONE
+) -> CommutativityReport:
+    """``is_commutative(coherent_state_povm(model, fiducial), tol)`` in closed
+    form, without building the POVM.
+
+    The Weyl operators W_a = X^q Z^p compose up to a phase, so conjugating by
+    W_a^-1 carries the pair (G_a, G_b) to (G_0, G_c) for some c != 0 and
+    keeps its commutator norm: the largest one is among the pairs against
+    the origin (0, 0).  Each effect is rank one, so with g_b = <eta|eta_b>
+
+        ||[G_0, G_b]|| = |g_b| ||eta|| ||eta_b - (g_b / ||eta||^2) eta|| / N^2.
+
+    The component of eta_b orthogonal to eta is formed as a vector, not as
+    sqrt(1 - |g_b|^2), which cancels to rounding noise as |g_b| tends to 1.
+    The worst pair is ((0, 0), b) for the first b, in the POVM's outcome
+    order, that attains the maximum.  Memory: the (N^2, N) orbit vectors and
+    one array of their size.
+    """
+    n = model.n_sites
+    vecs = _weyl_orbit(_unit_fiducial(model, fiducial))
+    eta = vecs[0]
+    length = np.einsum("d,d->", eta.conj(), eta).real  # ||eta||^2
+    # einsum, not a matrix product: with a matrix product the threaded BLAS's
+    # idle threads spin through the rest of the run and double its CPU time
+    overlaps = np.einsum("d,bd->b", eta.conj(), vecs[1:])
+    perp = vecs[1:] - (overlaps / length)[:, np.newaxis] * eta
+    norms = np.abs(overlaps) * np.sqrt(length) * np.sqrt(_sum_squares(perp)) / n**2
+    at = int(np.argmax(norms))
+    worst = float(norms[at])
+    commutative = worst <= tol
+    return CommutativityReport(
+        commutative=commutative,
+        max_commutator=worst,
+        worst_pair=None if commutative else ((0, 0), divmod(at + 1, n)),
+    )
 
 
 def position_marginal(model: LatticeModel, fiducial) -> LocalizationMap:
@@ -302,7 +350,7 @@ class CovarianceReport(NamedTuple):
     residual: float
 
 
-def check_covariance(lmap: LocalizationMap, a: int, tol: float = 1e-12) -> CovarianceReport:
+def check_covariance(lmap: LocalizationMap, a: int, tol: float = TOL_ONE) -> CovarianceReport:
     """Conjugation by the a-fold shift versus relabelling by a.
 
     residual = max over sites x of || T^a E_x T^-a  -  E_{x+a} ||.  The

@@ -12,7 +12,7 @@ subset sums and the commutator scan work on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -39,7 +39,6 @@ from .linalg import (
     largest_norm,
     op_norm,
     pair_bounds,
-    rank_one_bounds,
 )
 
 Outcome = Hashable
@@ -56,9 +55,6 @@ class Pom:
     outcomes: tuple
     stack: np.ndarray
     normalized: bool
-    # Each entry's top eigenpair (λ_a, v_a), values (K,) and vectors (K, d),
-    # kept from the screen of ``build_pom`` for ``is_commutative``.
-    _top: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     @cached_property
     def effects(self) -> tuple[Effect, ...]:
@@ -121,8 +117,7 @@ def _stack_pom(
     The entries are screened as one stack (``_screen``); ``validate_effect``
     runs only on those the screen cannot clear, in index order.
     """
-    suspects, top = _screen(stack, tol)
-    for i in suspects:
+    for i in _screen(stack, tol):
         try:
             validate_effect(stack[i], tol)
         except OpmeasError as exc:
@@ -143,9 +138,7 @@ def _stack_pom(
         raise OpmeasError("outcome labels and effects differ in length")
     if len(set(labels)) != len(labels):
         raise OpmeasError("outcome labels must be distinct")
-    pom = Pom(outcomes=labels, stack=stack, normalized=is_normalized)
-    object.__setattr__(pom, "_top", top)
-    return pom
+    return Pom(outcomes=labels, stack=stack, normalized=is_normalized)
 
 
 def _as_stack(ops) -> np.ndarray | None:
@@ -169,9 +162,8 @@ def _view(m: np.ndarray) -> Effect:
     return effect
 
 
-def _screen(stack: np.ndarray, tol: float) -> tuple[list[int], tuple[np.ndarray, np.ndarray]]:
-    """Indices of the entries that the stacked screen cannot clear as effects,
-    and the top eigenpair of every entry's Hermitian part.
+def _screen(stack: np.ndarray, tol: float) -> list[int]:
+    """Indices of the entries that the stacked screen cannot clear as effects.
 
     The screen runs in blocks of at most ``BLOCK_ENTRIES`` entries.  It
     clears a finite entry E when the Frobenius norm of E - E†, inflated by
@@ -179,14 +171,11 @@ def _screen(stack: np.ndarray, tol: float) -> tuple[list[int], tuple[np.ndarray,
     the spectrum of E's Hermitian part lies in [-tol, 1 + tol].  One batched
     ``eigh`` per block gives the spectra; its eigenvalues are those of
     ``eig_hermitian``, bit for bit, since both decompose the same Hermitian
-    part with the same LAPACK routine.  It computes the eigenvectors anyway,
-    so the top eigenpairs cost one copy of a vector per entry.
+    part with the same LAPACK routine (``eigvalsh`` would not be).
     """
     k, d, _ = stack.shape
     step = max(1, BLOCK_ENTRIES // (d * d))
     suspects: list[int] = []
-    values = np.empty(k)
-    vectors = np.empty((k, d), dtype=complex)
     for start in range(0, k, step):
         block = stack[start : start + step]
         finite = np.isfinite(block).all(axis=(1, 2))
@@ -194,12 +183,10 @@ def _screen(stack: np.ndarray, tol: float) -> tuple[list[int], tuple[np.ndarray,
             hermitian = frobenius_norms(block - dagger(block)) * (1 + BOUND_MARGIN) <= TOL_HERM
             parts = hermitize(block)
         parts[~finite] = 0.0
-        evals, evecs = np.linalg.eigh(parts)
-        values[start : start + step] = evals[:, -1]
-        vectors[start : start + step] = evecs[:, :, -1]
+        evals = np.linalg.eigh(parts)[0]
         cleared = finite & hermitian & (evals[:, 0] >= -tol) & (evals[:, -1] <= 1 + tol)
         suspects.extend(start + np.flatnonzero(~cleared))
-    return suspects, (values, vectors)
+    return suspects
 
 
 def effect_of(pom: Pom, subset: Iterable[Outcome]) -> Effect:
@@ -241,22 +228,18 @@ def _commutators(a: np.ndarray, block: np.ndarray, out: np.ndarray, tmp: np.ndar
 def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
     """Scan all outcome pairs for the largest commutator norm.
 
-    Every pair first gets an upper bound on its commutator's operator norm.
-    When the effects are rank one up to rounding, as those of a Weyl-orbit
-    POVM are, ``rank_one_bounds`` gives the bounds from one K x K Gram matrix
-    of the top eigenvectors that ``build_pom``'s screen kept, with a measured
-    residual and an absolute rounding slack.  Otherwise, and for families that
-    commute up to rounding, ``pair_bounds`` gives each pair's Frobenius norm
-    from stacked products over the POM's stack.  ``largest_norm`` then walks
-    the pairs in chunks of descending bound: it gathers the commutators of
-    the pairs that could still be the worst, screens them with the tighter
-    Schatten-8 bound, and takes the exact norms of the rest in one stacked
-    SVD per chunk.  Either way the maximum and the worst pair are those of a
-    plain loop over all pairs, bit for bit.  Memory beyond the POM: the
-    bounds, their order and the pair indices at 32 bytes per pair; while
-    bounding, either the K x K Gram matrix and a few temporaries of 8 or 16
-    bytes per pair, or two 1 MiB product buffers; then a few temporaries of
-    at most ``BLOCK_ENTRIES`` entries (1 MiB) per chunk.
+    Since ``||C||_2 <= ||C||_F``, a pair's Frobenius norm bounds its exact
+    operator norm.  ``pair_bounds`` takes the bounds from stacked products
+    over the POM's stack.  ``largest_norm`` then walks the pairs in chunks of
+    descending bound: it gathers the commutators of the pairs that could
+    still be the worst and takes their exact norms in one stacked SVD per
+    chunk.  The maximum and the worst pair are those of a plain loop over
+    all pairs, bit for bit.  Memory beyond the POM: two 1 MiB product
+    buffers while bounding, 32 bytes per pair for the bounds, their order
+    and the pair indices, then a few temporaries of at most
+    ``BLOCK_ENTRIES`` entries (1 MiB) per chunk.  For a Weyl-orbit POVM,
+    ``localization.phase_space_commutativity`` gives the maximum in closed
+    form.
     """
     stack = pom.stack
     rows, cols = np.triu_indices(len(pom), 1)
@@ -265,10 +248,7 @@ def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
         left, right = stack[rows[ps]], stack[cols[ps]]
         return left @ right - right @ left
 
-    bounds = rank_one_bounds(stack, *pom._top)
-    if bounds is None:
-        bounds = pair_bounds(stack, stack, _commutators)
-    worst, worst_at = largest_norm(bounds, commutators)
+    worst, worst_at = largest_norm(pair_bounds(stack, stack, _commutators), commutators)
     worst_pair = None
     if worst_at >= 0:
         worst_pair = (pom.outcomes[rows[worst_at]], pom.outcomes[cols[worst_at]])

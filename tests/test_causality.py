@@ -122,6 +122,18 @@ def test_leakage_input_validation():
         leakage_scan(lmap, phi, SpatialSet({0}), [-0.5])
 
 
+def test_leakage_state_norm_is_checked_against_the_normalization_tolerance():
+    # |phi|^2 within TOL_EIG = 1e-10 of 1, as for a fiducial: scale 1 +- 4e-11 passes, 1 +- 8e-11 does not
+    lmap = hopping_map(8)
+    phi = np.zeros(8)
+    phi[0] = 1.0
+    for scale in (1 - 4e-11, 1 + 4e-11):
+        leakage_scan(lmap, phi * scale, SpatialSet({0}), [0.0])
+    for scale in (1 - 8e-11, 1 + 8e-11):
+        with pytest.raises(OpmeasError, match="^initial state must be a unit vector$"):
+            leakage_scan(lmap, phi * scale, SpatialSet({0}), [0.0])
+
+
 def test_chain_static_sharp_holds_exactly():
     lmap = static_map(16)
     rep = strong_causality_chain(lmap, SpatialSet({0}), SpatialSet({8}), t=2.0)

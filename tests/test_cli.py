@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from opmeas.causality import schlieder_scan, singleton_conditions
+from opmeas import povm as povm_module
 from opmeas.cli import main
 from opmeas.effects import validate_effect
 from opmeas.localization import gaussian_fiducial
@@ -243,6 +244,22 @@ def test_localization_demo_coherent_reports_phase_space(tmp_path, capsys):
     rows = _demo_rows(json.loads(capsys.readouterr().out))
     assert rows["phase-space commutativity"]["holds"] is False
     assert rows["base commutativity"]["holds"] is True
+
+
+def test_localization_demo_coherent_builds_no_povm(monkeypatch, tmp_path, capsys):
+    screened, screen = [], povm_module._screen
+
+    def recording(stack, tol):  # every POM, of any construction, passes the screen once
+        screened.append(len(stack))
+        return screen(stack, tol)
+
+    monkeypatch.setattr(povm_module, "_screen", recording)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n_sites": 8, "construction": "coherent"}))
+    assert main(["localization-demo", "--model", str(path), "--format", "json"]) == 0
+    assert screened and max(screened) == 8  # N outcomes per POM, never the N^2 of the POVM
+    row = _demo_rows(json.loads(capsys.readouterr().out))["phase-space commutativity"]
+    assert row["holds"] is False and row["detail"].startswith("((0, 0), ")  # the orbit origin
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -20,7 +20,7 @@ from opmeas.errors import (
     SumExceedsIdentityError,
     UnknownOutcomeError,
 )
-from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm, rank_one_bounds
+from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm
 from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, position_marginal
 from opmeas.povm import build_pom, effect_of, is_commutative, is_sharp_pom
 
@@ -340,10 +340,8 @@ def test_is_commutative_matches_pair_loop_exactly(seed, dim, n_out, kind):
     elif kind == "duplicated":  # each effect twice, so equal pairs tie bit for bit
         half = [e.op / 2 for e in random_pom(rng, dim, (n_out + 1) // 2).effects]
         pom = build_pom([m for m in half for _ in range(2)][:n_out], False)
-    else:  # the Gram tier bounds these whenever two distinct effects do not commute
+    else:  # rank-one commutators have two equal singular values
         pom = _rank_one_pom(rng, dim, n_out, 2 if kind == "rank-one-duplicated" else 1)
-        distinct = n_out if kind == "rank-one" else (n_out + 1) // 2
-        assert (rank_one_bounds(pom.stack, *pom._top) is not None) == (dim > 1 and distinct > 1)
     _assert_scan_matches_loop(pom)
 
 
