@@ -231,11 +231,11 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
         if rep.residual > cov_worst:
             cov_worst, cov_case = rep.residual, f"shift {a}"
 
-    # one decomposition per singleton gives P1, P0 and the largest eigenvalue
+    # one stacked decomposition gives every singleton's P1, P0 and largest eigenvalue
     stack = lmap.base_pom.stack
-    eigs = [eig_hermitian(m) for m in stack]
-    p1 = np.array([endpoint_projection(g, "one", tol).op for g in eigs])
-    not_p0 = np.eye(n, dtype=complex) - np.array([endpoint_projection(g, "zero", tol).op for g in eigs])
+    eigs = eig_hermitian(stack)
+    p1 = endpoint_projection(eigs, "one", tol)
+    not_p0 = np.eye(n, dtype=complex) - endpoint_projection(eigs, "zero", tol)
     rows, cols = np.triu_indices(n, 1)
 
     def case(at: int) -> str:
@@ -247,7 +247,7 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonT
     weak_worst, weak_at = largest_norm(
         pair_bounds(p1, not_p0, _products), lambda ps: p1[rows[ps]] @ not_p0[cols[ps]]
     )
-    max_eig = max(float(g.eigenvalues[-1]) for g in eigs)
+    max_eig = float(eigs.eigenvalues[:, -1].max())
     return SingletonTable(
         rows=(
             ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),

@@ -87,14 +87,15 @@ def spectral_projection(e: Effect, which: Literal["one", "zero"], tol: float = T
     """
     if which not in ("one", "zero"):
         raise ValueError("which must be 'one' or 'zero'")
-    return endpoint_projection(eig_hermitian(e.op), which, tol)
+    return Projection(op=endpoint_projection(eig_hermitian(e.op), which, tol))
 
 
 def endpoint_projection(
     eig: HermitianEigen, which: Literal["one", "zero"], tol: float = TOL_ONE
-) -> Projection:
-    """``spectral_projection`` of an effect from its eigendecomposition, so
-    one decomposition serves both endpoints."""
+) -> np.ndarray:
+    """The operator of ``spectral_projection`` from an eigendecomposition, of
+    one effect or of each effect of a stack, so one decomposition serves both
+    endpoints."""
     target = 1.0 if which == "one" else 0.0
     return _span(eig, np.abs(eig.eigenvalues - target) <= tol)
 
@@ -103,16 +104,14 @@ def range_projection(e: Effect, tol: float = TOL_ONE) -> Projection:
     """Projection onto the closure of the range: span of eigenvectors with
     eigenvalue above tol.  Coincides with I minus the eigenvalue-0 projection."""
     eig = eig_hermitian(e.op)
-    return _span(eig, eig.eigenvalues > tol)
+    return Projection(op=_span(eig, eig.eigenvalues > tol))
 
 
-def _span(eig: HermitianEigen, mask: np.ndarray) -> Projection:
-    """Projection onto the eigenvectors that mask selects; zero when it selects none."""
-    if not mask.any():
-        d = len(mask)
-        return Projection(op=np.zeros((d, d), dtype=complex))
-    v = eig.eigenvectors[:, mask]
-    return Projection(op=linalg.hermitize(v @ v.conj().T))
+def _span(eig: HermitianEigen, mask: np.ndarray) -> np.ndarray:
+    """Projection onto the eigenvectors that mask selects, (V mask) V†, of one
+    decomposition or of each of a stack; zero when it selects none."""
+    v = eig.eigenvectors
+    return linalg.hermitize((v * mask[..., np.newaxis, :]) @ linalg.dagger(v))
 
 
 def is_sharp(e: Effect, tol: float = TOL_ONE) -> bool:

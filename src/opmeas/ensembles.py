@@ -60,8 +60,7 @@ def random_effect(rng: np.random.Generator, dim: int) -> Effect:
 def random_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> Pom:
     """Normalized POM: k PSD draws whitened by the inverse root of their sum."""
     raw = [hermitize(g.conj().T @ g) for g in (_ginibre(rng, dim) for _ in range(n_outcomes))]
-    total = hermitize(sum(raw))
-    eig = eig_hermitian(total)
+    eig = eig_hermitian(sum(raw))
     w = eig.eigenvectors @ np.diag(1.0 / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
     effects = [hermitize(w @ m @ w) for m in raw]
     return build_pom(effects, require_normalized=True)
@@ -229,10 +228,8 @@ def run_objectivity_trials(
         commuting = rng.uniform() < 1.0 / 3.0
         if commuting:
             pom_a, _ = random_commuting_pom_and_effect(rng, dim, _pick_dim(rng, outcomes))
-            u_effects = [e.op for e in pom_a.effects]
             # second POM diagonal in the same basis: coarse-grain-free redraw
-            eig = eig_hermitian(u_effects[0])
-            u = eig.eigenvectors
+            u = eig_hermitian(pom_a.stack[0]).eigenvectors
             weights = rng.dirichlet(np.ones(_pick_dim(rng, outcomes)), size=dim)
             pom_b = build_pom(
                 [hermitize(u @ np.diag(weights[:, i].astype(complex)) @ u.conj().T) for i in range(weights.shape[1])],

@@ -11,13 +11,15 @@ loaders.  The kernels (``op_norms``, ``op_norm``, ``commutator``,
 complex operands, and a public entry point taking two operands checks that
 their dimensions agree.
 
-Operator families are ``(K, d, d)`` stacks.  ``op_norms`` is the one exact-norm
-kernel: one stacked SVD for a whole stack (``op_norm`` is its one-matrix
-call).  ``frobenius_norms`` bounds the operator norm of every matrix of a
-stack at once, and ``pair_bounds`` does so for the products of every pair of
-a family.  ``largest_norm`` then finds the largest exact norm: it walks the
-bounds in descending order in chunks and takes the exact norms of each
-chunk's survivors with one ``op_norms`` call.  A chunk holds at most
+Operator families are ``(K, d, d)`` stacks.  ``dagger``, ``hermitize``,
+``eig_hermitian`` and ``psd_sqrt`` take one matrix or a stack, and give each
+matrix of a stack the one-matrix call's result, bit for bit.  ``op_norms`` is
+the one exact-norm kernel: one stacked SVD for a whole stack (``op_norm`` is
+its one-matrix call).  ``frobenius_norms`` bounds the operator norm of every
+matrix of a stack at once, and ``pair_bounds`` does so for the products of
+every pair of a family.  ``largest_norm`` then finds the largest exact norm:
+it walks the bounds in descending order in chunks and takes the exact norms
+of each chunk's survivors with one ``op_norms`` call.  A chunk holds at most
 ``BLOCK_ENTRIES`` entries (1 MiB per temporary), whatever the size of the
 family.
 """
@@ -65,8 +67,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Adjoint of a matrix, or of every matrix of a (K, d, d) stack."""
-    return np.swapaxes(m, -1, -2).conj()
+    """Adjoint of a matrix, or of each matrix of a stack."""
+    return m.swapaxes(-1, -2).conj()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -89,12 +91,12 @@ def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each of a stack.
 
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors, each with a fixed global
-    phase (first significant component real and positive) so repeated runs
-    on identical input give identical output.
+    ``eigenvalues`` are real and ascending along the last axis; the columns
+    of ``eigenvectors`` are the matching orthonormal eigenvectors, each with
+    a fixed global phase (first significant component real and positive) so
+    repeated runs on identical input give identical output.
     """
 
     eigenvalues: np.ndarray
@@ -102,44 +104,46 @@ class HermitianEigen:
 
 
 def eig_hermitian(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack, with deterministic phases.
 
     The operand is trusted to be Hermitian; its Hermitian part is what gets
     decomposed, so rounding skew from products is harmless.
     """
     evals, vecs = np.linalg.eigh(hermitize(m))
     vecs = _fix_phases(vecs)
-    evals = np.asarray(evals, dtype=float)
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return HermitianEigen(eigenvalues=evals, eigenvectors=vecs)
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive.
+    """Rotate every column so its first significant component is real positive.
 
     Unit columns always have a component above _PHASE_EPS for argmax to find."""
-    out = np.array(vecs, dtype=complex)
-    rows = np.argmax(np.abs(out) > _PHASE_EPS, axis=0)
-    pivots = out[rows, np.arange(out.shape[1])]
+    out = vecs.astype(complex)
+    # flat index of each column's pivot: the column's entry in row 0, plus d per row
+    at = (abs(out) > _PHASE_EPS).argmax(axis=-2, keepdims=True) * out.shape[-1]
+    pivots = out.reshape(-1)[at + np.arange(out.size).reshape(out.shape)[..., :1, :]]
     # hypot, not np.abs: the vectorized complex abs can round the last bit differently
     out *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return out
 
 
 def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each of a stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine negativity and raises SpectrumOutOfRangeError.
+    genuine negativity and raises SpectrumOutOfRangeError (for a stack, as a
+    loop would: for the first matrix that has one).
     """
     eig = eig_hermitian(m)
-    evals = eig.eigenvalues
-    if evals[0] < -tol:
-        raise SpectrumOutOfRangeError(evals[0], f"matrix is not PSD: eigenvalue {evals[0]}")
-    clamped = np.clip(evals, 0.0, None)
+    lowest = eig.eigenvalues[..., 0].reshape(-1)
+    low = lowest[(lowest < -tol).argmax()]  # the first below -tol, if any
+    if low < -tol:
+        raise SpectrumOutOfRangeError(low, f"matrix is not PSD: eigenvalue {low}")
     v = eig.eigenvectors
-    return hermitize((v * np.sqrt(clamped)) @ v.conj().T)
+    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))[..., np.newaxis, :]
+    return hermitize((v * roots) @ dagger(v))
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:

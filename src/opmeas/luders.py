@@ -26,10 +26,11 @@ import numpy as np
 from .effects import Effect
 from .errors import NotNormalizedError
 from .linalg import (
+    BLOCK_ENTRIES,
     as_matrix,
-    commutator_norm,
     eig_hermitian,
     hermitize,
+    op_norms,
     outer,
     psd_sqrt,
     require_same_dim,
@@ -57,21 +58,18 @@ class State:
 
 @dataclass(frozen=True)
 class LudersInstrument:
-    """Normalized source POM together with its Kraus operators sqrt(E_i)."""
+    """Normalized source POM with its Kraus operators sqrt(E_i), one read-only stack."""
 
     source: Pom
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     @classmethod
     def from_pom(cls, pom: Pom) -> LudersInstrument:
         if not pom.normalized:
             raise NotNormalizedError("Luders instrument requires a normalized POM")
-        ops = []
-        for e in pom.effects:
-            k = psd_sqrt(e.op)
-            k.setflags(write=False)
-            ops.append(k)
-        return cls(source=pom, kraus=tuple(ops))
+        kraus = psd_sqrt(pom.stack)
+        kraus.setflags(write=False)
+        return cls(source=pom, kraus=kraus)
 
     @property
     def dim(self) -> int:
@@ -81,14 +79,11 @@ class LudersInstrument:
 def heisenberg_dual(instr: LudersInstrument, b: Effect) -> Effect:
     """Dual map on effects: B -> Hermitian part of sum sqrt(E_i) B sqrt(E_i).
 
-    The dual of a Luders channel maps effects to effects, so the result is
-    wrapped without revalidation.
+    ``Effect`` coerces the result, but its spectrum is not checked again:
+    the dual of a Luders channel maps effects to effects.
     """
     require_same_dim(instr.kraus[0], b.op)
-    out = np.zeros_like(b.op)
-    for k in instr.kraus:
-        out = out + k @ b.op @ k
-    return Effect(op=hermitize(out))
+    return Effect(op=hermitize((instr.kraus @ b.op @ instr.kraus).sum(axis=0)))
 
 
 class NondisturbanceReport(NamedTuple):
@@ -108,7 +103,7 @@ def nondisturbance(instr: LudersInstrument, b: Effect, tol: float = _EQUIV_TOL) 
     deviation.
     """
     d = heisenberg_dual(instr, b).op - b.op
-    eig = eig_hermitian(hermitize(d))
+    eig = eig_hermitian(d)
     lo, hi = eig.eigenvalues[0], eig.eigenvalues[-1]
     deviation = float(max(abs(lo), abs(hi)))
     if deviation <= tol:
@@ -136,17 +131,16 @@ def proposition1_verify(pom: Pom, b: Effect, tol: float = _EQUIV_TOL) -> Prop1Re
     """
     if not pom.normalized:
         raise NotNormalizedError("proposition1_verify requires a normalized POM")
-    require_same_dim(b.op, pom.effects[0].op)
-    max_comm = max(commutator_norm(b.op, e.op) for e in pom.effects)
+    require_same_dim(b.op, pom.stack[0])
+    max_comm = float(op_norms(b.op @ pom.stack - pom.stack @ b.op).max())
     commute = max_comm <= tol
-    instr = LudersInstrument.from_pom(pom)
-    nd = nondisturbance(instr, b, tol)
+    nd = nondisturbance(LudersInstrument.from_pom(pom), b, tol)
     return Prop1Report(
         case="both" if len(pom) == 2 else "alpha",
         commute=commute,
         nondisturb=nd.holds,
         equivalent=commute == nd.holds,
-        max_commutator=float(max_comm),
+        max_commutator=max_comm,
         deviation=nd.deviation,
     )
 
@@ -167,33 +161,40 @@ def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = _EQUIV_TOL) -> Object
     equal iff those matrices are (Watrous, The Theory of Quantum
     Information, §2.2).  So ``max_order_gap`` is the largest Frobenius norm
     of their difference over all Kraus pairs; it bounds
-    ||X rho X† - Y rho Y†|| from above on every pure state.  Compared
-    against plain pairwise commutativity of the effects.
+    ||X rho X† - Y rho Y†|| from above on every pure state.  The natural
+    representations of all pairs are formed in blocks of at most
+    ``BLOCK_ENTRIES`` entries (or one pair), so memory stays at what one
+    ``kron`` takes.  Compared against plain pairwise commutativity of the
+    effects, from one ``op_norms`` call over all their commutators.
     """
     if not (pom_a.normalized and pom_b.normalized):
         raise NotNormalizedError("objectivity_check requires normalized POMs")
-    require_same_dim(pom_a.effects[0].op, pom_b.effects[0].op)
-    ia = LudersInstrument.from_pom(pom_a)
-    ib = LudersInstrument.from_pom(pom_b)
+    require_same_dim(pom_a.stack[0], pom_b.stack[0])
+    d = pom_a.dim
+    ka = LudersInstrument.from_pom(pom_a).kraus[:, np.newaxis]
+    kb = LudersInstrument.from_pom(pom_b).kraus[np.newaxis]
+    ab, ba = (ka @ kb).reshape(-1, d, d), (kb @ ka).reshape(-1, d, d)
+    step = max(1, BLOCK_ENTRIES // d**4)
     gap = 0.0
-    for ka in ia.kraus:
-        for kb in ib.kraus:
-            ab = ka @ kb
-            ba = kb @ ka
-            gap = max(gap, float(np.linalg.norm(np.kron(ab, ab.conj()) - np.kron(ba, ba.conj()))))
+    for s in range(0, len(ab), step):
+        diff = _natural(ab[s : s + step]) - _natural(ba[s : s + step])
+        gap = max(gap, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     ops_commute = gap <= tol
-    max_eff = max(
-        commutator_norm(ea.op, eb.op)
-        for ea in pom_a.effects
-        for eb in pom_b.effects
-    )
-    effects_commute = max_eff <= tol
+    ea, eb = pom_a.stack[:, np.newaxis], pom_b.stack[np.newaxis]
+    effects_commute = bool(op_norms((ea @ eb - eb @ ea).reshape(-1, d, d)).max() <= tol)
     return ObjectivityReport(
         ops_commute=ops_commute,
         effects_commute=effects_commute,
         agree=ops_commute == effects_commute,
         max_order_gap=gap,
     )
+
+
+def _natural(x: np.ndarray) -> np.ndarray:
+    """kron(X, conj X) of each matrix of a (P, d, d) stack, entry by entry the
+    product that ``np.kron`` forms (``einsum`` rounds some apart)."""
+    p, d, _ = x.shape
+    return (x[:, :, None, :, None] * x.conj()[:, None, :, None, :]).reshape(p, d * d, d * d)
 
 
 class CausalityCReport(NamedTuple):

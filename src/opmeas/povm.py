@@ -43,6 +43,9 @@ from .linalg import (
 
 Outcome = Hashable
 
+# How far inside [-tol, 1 + tol] ``_screen`` needs a spectrum to clear it
+_SCREEN_SLACK = 2.0**-40
+
 
 @dataclass(frozen=True)
 class Pom:
@@ -122,14 +125,12 @@ def _stack_pom(
             validate_effect(stack[i], tol)
         except OpmeasError as exc:
             raise InvalidEffectError(i, exc) from exc
-    dim = stack.shape[1]
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in stack:
-        total = total + m
-    slack = eig_hermitian(np.eye(dim, dtype=complex) - hermitize(total)).eigenvalues
+    eye = np.eye(stack.shape[1], dtype=complex)
+    total = stack.sum(axis=0)
+    slack = eig_hermitian(eye - total).eigenvalues
     if slack[0] < -tol:
         raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[0]:.3e}")
-    deficit = op_norm(total - np.eye(dim, dtype=complex))
+    deficit = op_norm(total - eye)
     is_normalized = deficit <= TOL_EIG
     if require_normalized and not is_normalized:
         raise NotNormalizedError(f"effect sum differs from identity by {deficit:.3e}")
@@ -168,10 +169,11 @@ def _screen(stack: np.ndarray, tol: float) -> list[int]:
     The screen runs in blocks of at most ``BLOCK_ENTRIES`` entries.  It
     clears a finite entry E when the Frobenius norm of E - E†, inflated by
     ``BOUND_MARGIN``, is within ``TOL_HERM`` (so its operator norm is), and
-    the spectrum of E's Hermitian part lies in [-tol, 1 + tol].  One batched
-    ``eigh`` per block gives the spectra; its eigenvalues are those of
-    ``eig_hermitian``, bit for bit, since both decompose the same Hermitian
-    part with the same LAPACK routine (``eigvalsh`` would not be).
+    the spectrum of E's Hermitian part, from one batched ``eigvalsh`` per
+    block, lies ``_SCREEN_SLACK`` (9.1e-13) inside [-tol, 1 + tol].  That is
+    far above the rounding gap to ``eig_hermitian``'s spectrum (1.7e-14 on a
+    (256, 16, 16) stack), so ``validate_effect`` decides every entry near a
+    limit, and far below ``TOL_PSD``, so a projector's 0 and 1 clear.
     """
     k, d, _ = stack.shape
     step = max(1, BLOCK_ENTRIES // (d * d))
@@ -183,9 +185,9 @@ def _screen(stack: np.ndarray, tol: float) -> list[int]:
             hermitian = frobenius_norms(block - dagger(block)) * (1 + BOUND_MARGIN) <= TOL_HERM
             parts = hermitize(block)
         parts[~finite] = 0.0
-        evals = np.linalg.eigh(parts)[0]
-        cleared = finite & hermitian & (evals[:, 0] >= -tol) & (evals[:, -1] <= 1 + tol)
-        suspects.extend(start + np.flatnonzero(~cleared))
+        evals = np.linalg.eigvalsh(parts)
+        inside = (evals[:, 0] >= -tol + _SCREEN_SLACK) & (evals[:, -1] <= 1 + tol - _SCREEN_SLACK)
+        suspects.extend(start + np.flatnonzero(~(finite & hermitian & inside)))
     return suspects
 
 
@@ -199,12 +201,8 @@ def effect_of(pom: Pom, subset: Iterable[Outcome]) -> Effect:
     unknown = wanted.difference(pom.outcomes)
     if unknown:
         raise UnknownOutcomeError(f"unknown outcomes {sorted(map(repr, unknown))}")
-    dim = pom.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for label, m in zip(pom.outcomes, pom.stack):
-        if label in wanted:
-            total = total + m
-    return Effect(op=total)
+    chosen = [label in wanted for label in pom.outcomes]
+    return Effect(op=pom.stack[chosen].sum(axis=0))
 
 
 def is_sharp_pom(pom: Pom, tol: float = TOL_ONE) -> bool:

@@ -93,7 +93,7 @@ def effect_from_json(obj) -> Effect:
 def pom_to_json(pom: Pom) -> dict:
     return {
         "outcomes": [list(o) if isinstance(o, tuple) else o for o in pom.outcomes],
-        "effects": [matrix_to_json(e.op) for e in pom.effects],
+        "effects": [matrix_to_json(m) for m in pom.stack],
         "normalized": pom.normalized,
     }
 

@@ -134,23 +134,84 @@ def _fix_phases_loop(vecs: np.ndarray) -> np.ndarray:
 )
 @settings(max_examples=120, deadline=None)
 def test_fix_phases_matches_loop_bit_for_bit(seed, dim, kind):
-    rng = np.random.default_rng(seed)
-    if kind == "random":
-        m = _rand_hermitian(rng, dim)
-    elif kind == "diagonal":
-        m = np.diag(rng.standard_normal(dim)).astype(complex)
-    elif kind == "degenerate":
-        q, _ = np.linalg.qr(_rand_hermitian(rng, dim))
-        m = hermitize(q @ np.diag(rng.integers(0, 3, dim).astype(complex)) @ q.conj().T)
-    else:  # leading components of the lower block's eigenvectors are exact zeros
-        m = np.zeros((dim, dim), dtype=complex)
-        k = dim // 2
-        m[:k, :k] = np.diag(rng.integers(0, 2, k).astype(complex))
-        m[k:, k:] = _rand_hermitian(rng, dim - k)
-    _, vecs = np.linalg.eigh(m)
+    _, vecs = np.linalg.eigh(_hermitian_of(kind, np.random.default_rng(seed), dim))
     got = _fix_phases(vecs)
     want = _fix_phases_loop(vecs)
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _hermitian_of(kind: str, rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Hermitian matrix of one of the shapes that stress the phase fix: generic,
+    diagonal, degenerate, or block-diagonal (the leading components of the lower
+    block's eigenvectors are exact zeros)."""
+    if kind == "random":
+        return _rand_hermitian(rng, dim)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(dim)).astype(complex)
+    if kind == "degenerate":
+        q, _ = np.linalg.qr(_rand_hermitian(rng, dim))
+        return hermitize(q @ np.diag(rng.integers(0, 3, dim).astype(complex)) @ q.conj().T)
+    m = np.zeros((dim, dim), dtype=complex)
+    k = dim // 2
+    m[:k, :k] = np.diag(rng.integers(0, 2, k).astype(complex))
+    m[k:, k:] = _rand_hermitian(rng, dim - k)
+    return m
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+_KINDS = st.lists(st.sampled_from(["random", "diagonal", "degenerate", "block"]), min_size=1, max_size=6)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), _KINDS)
+@settings(max_examples=120, deadline=None)
+def test_stacked_eig_hermitian_matches_each_matrix_bit_for_bit(seed, dim, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_hermitian_of(kind, rng, dim) for kind in kinds])
+    got = eig_hermitian(stack)
+    assert got.eigenvalues.shape == (len(kinds), dim)
+    assert got.eigenvectors.shape == (len(kinds), dim, dim)
+    for m, values, vectors in zip(stack, got.eigenvalues, got.eigenvectors):
+        one = eig_hermitian(m)
+        assert _same_bytes(values, one.eigenvalues) and _same_bytes(vectors, one.eigenvectors)
+
+
+def _psd_sqrt_loop(stack: np.ndarray, tol: float = 1e-9):
+    """Reference: ``psd_sqrt`` of each matrix in turn; the first failure's
+    type, eigenvalue and message, or the roots."""
+    roots = []
+    for m in stack:
+        try:
+            roots.append(psd_sqrt(m, tol))
+        except SpectrumOutOfRangeError as exc:
+            return type(exc), exc.eigenvalue, str(exc)
+    return roots
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    _KINDS,
+    st.lists(st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1.0]), min_size=6, max_size=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_psd_sqrt_matches_the_loop(seed, dim, kinds, shifts):
+    rng = np.random.default_rng(seed)
+    # squares are PSD; shifting one down by its lowest eigenvalue and more makes it not
+    stack = np.array([hermitize(h @ h) for h in (_hermitian_of(kind, rng, dim) for kind in kinds)])
+    for m, shift in zip(stack, shifts):
+        if shift:
+            m -= (eig_hermitian(m).eigenvalues[0] + shift) * np.eye(dim)
+    want = _psd_sqrt_loop(stack)
+    try:
+        got = psd_sqrt(stack)
+    except SpectrumOutOfRangeError as exc:
+        assert (type(exc), exc.eigenvalue, str(exc)) == want
+        return
+    assert isinstance(want, list) and got.shape == stack.shape
+    assert all(_same_bytes(root, one) for root, one in zip(got, want))
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -241,7 +302,8 @@ def test_singleton_scan_on_the_sharp_map_takes_no_exact_norm(monkeypatch):
     table = singleton_conditions(lmap)
     assert all(row.holds and row.worst_residual == 0.0 for row in table.rows)
     assert norms == []  # every gap and product is exactly zero (1,984 norms for a plain loop)
-    assert len(eigs) == 32  # one decomposition per singleton (96 when each projection decomposes)
+    decomposed = sum(len(m) if m.ndim == 3 else 1 for (m,) in eigs)
+    assert decomposed == 32  # one decomposition per singleton (96 when each projection decomposes)
 
 
 def test_build_pom_takes_no_exact_norm_but_the_deficit(monkeypatch):

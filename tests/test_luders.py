@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmeas.effects import validate_effect
-from opmeas import ensembles
+from opmeas import ensembles, luders
 from opmeas.ensembles import (
     random_commuting_pom_and_effect,
     random_effect,
@@ -20,7 +20,7 @@ from opmeas.ensembles import (
     trial_rng,
 )
 from opmeas.errors import NotNormalizedError
-from opmeas.linalg import hermitize, op_norm, outer
+from opmeas.linalg import commutator_norm, hermitize, op_norm, outer, psd_sqrt
 from opmeas.luders import (
     LudersInstrument,
     causality_check_C,
@@ -73,6 +73,15 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 def test_instrument_requires_normalized_pom():
     with pytest.raises(NotNormalizedError):
         LudersInstrument.from_pom(build_pom([diag(0.5, 0.5)], require_normalized=False))
+
+
+def test_instrument_kraus_is_one_read_only_stack_of_roots():
+    pom = random_pom(trial_rng(0, 5), 4, 3)
+    kraus = LudersInstrument.from_pom(pom).kraus
+    assert isinstance(kraus, np.ndarray) and kraus.shape == (3, 4, 4)
+    assert not kraus.flags.writeable
+    for k, e in zip(kraus, pom.effects):
+        assert np.array_equal(k, psd_sqrt(e.op))
 
 
 def test_instrument_kraus_squares_sum_to_identity():
@@ -169,6 +178,38 @@ def test_trace_preservation(seed):
     out = channel(instr, random_state(rng, dim))
     assert abs(np.trace(out).real - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+
+def _heisenberg_dual_loop(instr: LudersInstrument, b) -> np.ndarray:
+    """Reference: the sum of K B K over the Kraus operators in turn."""
+    out = np.zeros_like(b.op)
+    for k in instr.kraus:
+        out = out + k @ b.op @ k
+    return hermitize(out)
+
+
+def _proposition1_loop(pom, b, tol=1e-8) -> tuple:
+    """Reference: one commutator norm per effect, then the dual's fixed-point test."""
+    max_comm = max(commutator_norm(b.op, e.op) for e in pom.effects)
+    nd = nondisturbance(LudersInstrument.from_pom(pom), b, tol)
+    return max_comm, max_comm <= tol, nd.holds, nd.deviation
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_stacked_dual_and_proposition1_match_the_loops(seed, dim, k, commuting):
+    rng = np.random.default_rng(seed)
+    if commuting:
+        pom, b = random_commuting_pom_and_effect(rng, dim, k)
+    else:
+        pom, b = random_pom(rng, dim, k), random_effect(rng, dim)
+    instr = LudersInstrument.from_pom(pom)
+    want = _heisenberg_dual_loop(instr, b)
+    got = heisenberg_dual(instr, b).op
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    rep = proposition1_verify(pom, b)
+    assert (rep.max_commutator, rep.commute, rep.nondisturb, rep.deviation) == _proposition1_loop(pom, b)
+    assert type(rep.commute) is bool
 
 
 def test_nondisturbance_commuting_holds_without_witness():
@@ -282,6 +323,60 @@ def test_objectivity_gap_against_spanning_state_loop(monkeypatch):
         old_gap = _reference_order_gap(pom_a, pom_b)
         assert record.ops_commute == (old_gap <= tol), (record, old_gap)
         assert record.max_order_gap >= old_gap - rounding, (record, old_gap)
+
+
+def _kron_order_gap(pom_a, pom_b) -> tuple[float, float]:
+    """Reference: the natural-representation gap by one ``np.kron`` per Kraus
+    pair, and the largest effect commutator by one norm per effect pair."""
+    ia = LudersInstrument.from_pom(pom_a)
+    ib = LudersInstrument.from_pom(pom_b)
+    gap = 0.0
+    for ka in ia.kraus:
+        for kb in ib.kraus:
+            ab = ka @ kb
+            ba = kb @ ka
+            gap = max(gap, float(np.linalg.norm(np.kron(ab, ab.conj()) - np.kron(ba, ba.conj()))))
+    max_eff = max(commutator_norm(ea.op, eb.op) for ea in pom_a.effects for eb in pom_b.effects)
+    return gap, max_eff
+
+
+@pytest.mark.parametrize("seed", [0, 42, 303])
+def test_objectivity_gap_matches_the_kron_loop(monkeypatch, seed):
+    """The stacked gap is the kron loop's up to the order of the norm's sum:
+    within 1e-15 relative (or 1e-30 absolute, for a gap of rounding noise),
+    and every verdict over 200 trials is the loop's."""
+    tol = 1e-8
+    pairs = []
+
+    def recording_check(pom_a, pom_b, tol):
+        pairs.append((pom_a, pom_b))
+        return objectivity_check(pom_a, pom_b, tol)
+
+    monkeypatch.setattr(ensembles, "objectivity_check", recording_check)
+    records = ensembles.run_objectivity_trials(seed=seed, trials=200, dims=(2, 6), tol=tol)
+    assert len(pairs) == len(records) == 200
+    for record, (pom_a, pom_b) in zip(records, pairs):
+        gap, max_eff = _kron_order_gap(pom_a, pom_b)
+        assert record.max_order_gap == pytest.approx(gap, rel=1e-15, abs=1e-30), record
+        assert (record.ops_commute, record.effects_commute) == (gap <= tol, max_eff <= tol), record
+
+
+def test_objectivity_blocks_hold_one_kron_each(monkeypatch):
+    """At d = 20 a natural representation has 160,000 entries, more than a
+    block holds, so each Kraus pair takes a block of its own."""
+    rng = trial_rng(3, 0)
+    pom_a, pom_b = random_pom(rng, 20, 3), random_pom(rng, 20, 2)
+    sizes = []
+    natural = luders._natural
+
+    def recording(x):
+        sizes.append(len(x))
+        return natural(x)
+
+    monkeypatch.setattr(luders, "_natural", recording)
+    rep = objectivity_check(pom_a, pom_b)
+    assert sizes == [1] * 12  # six pairs, two orders each
+    assert rep.max_order_gap == pytest.approx(_kron_order_gap(pom_a, pom_b)[0], rel=1e-15)
 
 
 def test_causality_check_examples():

@@ -21,7 +21,14 @@ from opmeas.errors import (
     UnknownOutcomeError,
 )
 from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm
-from opmeas.localization import coherent_state_povm, gaussian_fiducial, make_model, position_marginal
+from opmeas import povm as povm_module
+from opmeas.localization import (
+    coherent_state_povm,
+    gaussian_fiducial,
+    make_model,
+    position_marginal,
+    sharp_position_map,
+)
 from opmeas.povm import build_pom, effect_of, is_commutative, is_sharp_pom
 
 
@@ -187,9 +194,29 @@ def test_build_pom_screens_in_blocks_and_finds_the_first_fault():
 
 @pytest.mark.parametrize("edge", [-1e-9, 1 + 1e-9])
 def test_build_pom_spectrum_edges_match_the_loop(edge):
-    # the screen's eigenvalues are the validator's bit for bit, so the last ulp decides alike
+    # entries within the screen's slack of a limit go to the validator, so the last ulp decides alike
     for value in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
         _assert_build_matches_loop([diag(0.25, 0.25), diag(value, 0.5), diag(0.25, 0.25)])
+
+
+def test_screen_clears_projectors_and_coherent_marginals(monkeypatch):
+    """Eigenvalues exactly 0 and 1 lie far inside the screen's slack of the
+    limits, so a sharp map and the coherent marginals validate no entry one
+    by one."""
+    calls = []
+
+    def counting(m, tol=1e-9):
+        calls.append(m)
+        return validate_effect(m, tol)
+
+    monkeypatch.setattr(povm_module, "validate_effect", counting)
+    model = make_model(32)
+    assert len(sharp_position_map(model).base_pom) == 32
+    for n in (8, 16, 32):
+        assert len(position_marginal(make_model(n), gaussian_fiducial(n)).base_pom) == n
+    assert calls == []
+    build_pom([diag(0.5, 0.5), diag(0.25, -1e-9)], require_normalized=False)
+    assert len(calls) == 1  # the counter is live: an entry at a limit is validated
 
 
 def test_build_pom_reads_eigh_as_a_plain_tuple(monkeypatch):
@@ -221,6 +248,25 @@ def test_effect_of_full_set_and_empty_set():
     pom = build_pom([diag(1, 0), diag(0, 1)], require_normalized=True)
     assert np.array_equal(effect_of(pom, pom.outcomes).op, I2)
     assert np.array_equal(effect_of(pom, ()).op, np.zeros((2, 2)))
+
+
+def _effect_of_loop(pom, subset) -> np.ndarray:
+    """Reference: the chosen effects added in turn, in outcome order."""
+    total = np.zeros((pom.dim, pom.dim), dtype=complex)
+    for label, e in zip(pom.outcomes, pom.effects):
+        if label in subset:
+            total = total + e.op
+    return total
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_effect_of_matches_the_loop_bit_for_bit(seed, dim, k):
+    rng = np.random.default_rng(seed)
+    pom = random_pom(rng, dim, k)
+    subset = {label for label in pom.outcomes if rng.uniform() < 0.5}
+    got = effect_of(pom, subset).op
+    assert np.array_equal(got.view(np.uint8), _effect_of_loop(pom, subset).view(np.uint8))
 
 
 def test_effect_of_subset_sharp_position():
