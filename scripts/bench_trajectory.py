@@ -1,12 +1,19 @@
 """Benchmark a change against its parent and write one trajectory file.
 
-Run from the root of the change's checkout, with a second checkout of its
-parent commit::
+Run from the root of the change's git checkout, with a second git checkout
+(a clone) of its parent commit::
 
     python3 scripts/bench_trajectory.py --parent PARENT_DIR --out BENCH_<n>.json
 
+Neither side runs where it is checked out.  The files git tracks in each
+checkout, as they are in its working tree, are copied into two fresh sibling
+directories under one temporary directory, and both sides run from there, so
+a cost that depends on where a run writes (the ``inputs`` workload's set-up
+writes a 3.2 MB POM) does not show as a code difference.  The copies are
+removed at the end.
+
 For every workload in BENCHMARK.json, ``perfbench/run.py`` runs in both
-checkouts at the benchmark's run length: ``PAIRS`` pairs with ``--trace 0``
+copies at the benchmark's run length: ``PAIRS`` pairs with ``--trace 0``
 (pair i at seed i, alternating which side runs first), then one ``--trace 1``
 run per side at seed 1.  The file keeps every run, per side the median and
 quartiles of each end-to-end metric and the traced per-layer metrics, and
@@ -19,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 PAIRS = 10
 
@@ -33,6 +42,20 @@ def bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> di
     report = json.loads(out.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in report.pop("metrics").items()}
     return {**report, "metrics": metrics}
+
+
+def snapshot(root: str, dest: str) -> str:
+    """Copy the files git tracks in the checkout root, as they are in its
+    working tree, into the new directory dest; return dest."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True, capture_output=True,
+                            text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(root, name)
+        if os.path.isfile(source):  # a tracked file deleted in the working tree is not copied
+            target = os.path.join(dest, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+    return dest
 
 
 def summary(runs: list[dict]) -> dict:
@@ -58,20 +81,22 @@ def main() -> int:
     args = p.parse_args()
     with open("BENCHMARK.json") as fh:
         config = json.load(fh)
-    sides = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
     result = {"run_seconds": config["run_seconds"], "pairs": PAIRS, "workloads": {}}
-    for workload in (w["name"] for w in config["workloads"]):
-        runs = {side: [] for side in sides}
-        for i in range(PAIRS):
-            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                runs[side].append(bench(sides[side], workload, i + 1, config["run_seconds"], 0))
-                print(workload, side, i + 1, runs[side][-1]["metrics"]["wall_s"], file=sys.stderr)
-        result["workloads"][workload] = {
-            side: {"end_to_end": summary(runs[side]), "runs": runs[side],
-                   "trace": bench(root, workload, 1, config["run_seconds"], 1)}
-            for side, root in sides.items()}
-        result["workloads"][workload]["pairs_won"] = pairs_won(
-            config["end_to_end"], runs["parent"], runs["change"])
+    with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as top:
+        sides = {side: snapshot(root, os.path.join(top, side))
+                 for side, root in (("parent", args.parent), ("change", os.getcwd()))}
+        for workload in (w["name"] for w in config["workloads"]):
+            runs = {side: [] for side in sides}
+            for i in range(PAIRS):
+                for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                    runs[side].append(bench(sides[side], workload, i + 1, config["run_seconds"], 0))
+                    print(workload, side, i + 1, runs[side][-1]["metrics"]["wall_s"], file=sys.stderr)
+            result["workloads"][workload] = {
+                side: {"end_to_end": summary(runs[side]), "runs": runs[side],
+                       "trace": bench(root, workload, 1, config["run_seconds"], 1)}
+                for side, root in sides.items()}
+            result["workloads"][workload]["pairs_won"] = pairs_won(
+                config["end_to_end"], runs["parent"], runs["change"])
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
     return 0

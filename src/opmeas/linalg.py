@@ -182,6 +182,8 @@ def pair_bounds(
 ) -> np.ndarray:
     """Frobenius norms of product(left[x], right[y]) over x < y, in row-major order.
 
+    ``left`` may be shorter than ``right``: the pairs are then those of its
+    rows x in range(len(left)), the first rows of the full pair order.
     ``product(a, block, out, tmp)`` writes the products of the matrix a with
     every matrix of the stack block into out and returns it; tmp is scratch
     of out's shape.  Both are slices of two buffers of at most
@@ -190,15 +192,15 @@ def pair_bounds(
     left[x] is zero takes no product: its bounds are set to zero, which
     assumes that product is zero when a is.
     """
-    k, d, _ = left.shape
+    r, (k, d, _) = len(left), right.shape
     step = max(1, BLOCK_ENTRIES // (d * d))
     out = np.empty((min(step, k), d, d), dtype=complex)
     tmp = np.empty_like(out)
     # empty, not zeros: with glibc, a calloc'ed vector here left the heap laid
     # out so that the family-sweep benchmark peaked 11 MiB higher
-    bounds = np.empty(k * (k - 1) // 2)
+    bounds = np.empty(r * (2 * k - r - 1) // 2)
     start = 0
-    for x in range(k - 1):
+    for x in range(min(r, k - 1)):
         if not left[x].any():
             bounds[start : start + k - x - 1] = 0.0
             start += k - x - 1

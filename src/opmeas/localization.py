@@ -35,6 +35,7 @@ from .linalg import (
     _sum_squares,
     as_matrix,
     commutator_norm,
+    dagger,
     eig_hermitian,
     frobenius_norms,
     hermitize,
@@ -147,8 +148,13 @@ def spacelike_separated(d1: SpatialSet, d2: SpatialSet, model: LatticeModel) -> 
     _check_sites(model, d1)
     _check_sites(model, d2)
     dist = set_distance(model.n_sites, d1.sites, d2.sites)
-    dt = abs(d1.time_slice - d2.time_slice)
-    return dist > model.light_speed * model.time_step * dt
+    return dist > cone_radius(model, abs(d1.time_slice - d2.time_slice))
+
+
+def cone_radius(model: LatticeModel, dt: int) -> float:
+    """c * tau * dt: sets at time separation dt are spacelike when their
+    distance strictly exceeds it."""
+    return model.light_speed * model.time_step * dt
 
 
 @dataclass(frozen=True)
@@ -172,12 +178,21 @@ def propagator(model: LatticeModel, t: float) -> np.ndarray:
     return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
 
 
-def evolve_effect(model: LatticeModel, e: Effect, t: float) -> Effect:
-    """Heisenberg evolution U(t)† E U(t), U(t) = exp(-iHt tau); E itself at t = 0."""
+def heisenberg(model: LatticeModel, ops: np.ndarray, t: float) -> np.ndarray:
+    """Hermitian part of U(t)† X U(t), U(t) = exp(-iHt tau), for one operator
+    or for each of a (K, d, d) stack from one propagator; ops itself at t = 0.
+
+    A stack's per-matrix results equal the one-matrix calls bit for bit.
+    """
     if t == 0:
-        return e
+        return ops
     u = propagator(model, t)
-    return Effect(op=hermitize(u.conj().T @ e.op @ u))
+    return hermitize(dagger(u) @ ops @ u)
+
+
+def evolve_effect(model: LatticeModel, e: Effect, t: float) -> Effect:
+    """Heisenberg evolution of an effect (``heisenberg``); E itself at t = 0."""
+    return e if t == 0 else Effect(op=heisenberg(model, e.op, t))
 
 
 def effect_for(lmap: LocalizationMap, d: SpatialSet) -> Effect:

@@ -209,8 +209,24 @@ def causality_check_C(pom_a: Pom, pom_b: Pom, tol: float = _EQUIV_TOL) -> Causal
     A's Luders channel.  Neither direction is disturbed exactly when all
     cross-pairs of effects commute.
     """
-    ia = LudersInstrument.from_pom(pom_a)
-    ib = LudersInstrument.from_pom(pom_b)
-    a_disturbs = any(not nondisturbance(ia, f, tol).holds for f in pom_b.effects)
-    b_disturbs = any(not nondisturbance(ib, e, tol).holds for e in pom_a.effects)
+    require_same_dim(pom_a.stack[0], pom_b.stack[0])
+    a_disturbs = _disturbs(LudersInstrument.from_pom(pom_a), pom_b.stack, tol)
+    b_disturbs = _disturbs(LudersInstrument.from_pom(pom_b), pom_a.stack, tol)
     return CausalityCReport(a_disturbs_b=a_disturbs, b_disturbs_a=b_disturbs)
+
+
+def _disturbs(instr: LudersInstrument, effects: np.ndarray, tol: float) -> bool:
+    """Whether some effect of a (M, d, d) stack fails ``nondisturbance``
+    under instr.  The deviations of all effects come from stacked products
+    and one stacked ``eig_hermitian`` per block of at most ``BLOCK_ENTRIES``
+    product entries (or one effect), each equal to ``nondisturbance``'s
+    deviation bit for bit."""
+    kraus = instr.kraus[:, np.newaxis]
+    step = max(1, BLOCK_ENTRIES // instr.kraus.size)
+    for s in range(0, len(effects), step):
+        block = effects[s : s + step]
+        dual = hermitize((kraus @ block @ kraus).sum(axis=0))
+        evals = eig_hermitian(dual - block).eigenvalues
+        if not (np.maximum(abs(evals[:, 0]), abs(evals[:, -1])) <= tol).all():
+            return True
+    return False

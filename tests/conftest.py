@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from opmeas.localization import LocalizationMap
@@ -21,3 +23,18 @@ def _povm_marginal(povm, model) -> LocalizationMap:
 def povm_marginal():
     """The summing reference that ``localization.position_marginal`` gives in closed form."""
     return _povm_marginal
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap every opmeas binding of module.<name> so each call's arguments are recorded."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("opmeas") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

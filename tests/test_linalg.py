@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeas import linalg
+from conftest import count_calls
+from opmeas import linalg, localization
 from opmeas.errors import DimensionMismatchError, OpmeasError, SpectrumOutOfRangeError
 from opmeas.linalg import (
     _PHASE_EPS,
@@ -216,17 +215,7 @@ def test_stacked_psd_sqrt_matches_the_loop(seed, dim, kinds, shifts):
 
 def _count_calls(monkeypatch, name: str) -> list:
     """Wrap every opmeas binding of linalg.<name> so each call's arguments are recorded."""
-    original = getattr(linalg, name)
-    calls: list = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("opmeas") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
+    return count_calls(monkeypatch, linalg, name)
 
 
 def _count_exact_norms(monkeypatch) -> list:
@@ -299,11 +288,16 @@ def test_singleton_scan_on_the_sharp_map_takes_no_exact_norm(monkeypatch):
     lmap = sharp_position_map(make_model(32))
     norms = _count_exact_norms(monkeypatch)
     eigs = _count_calls(monkeypatch, "eig_hermitian")
+    bounded = _count_calls(monkeypatch, "pair_bounds")
+    shifts = count_calls(monkeypatch, localization, "check_covariance")
     table = singleton_conditions(lmap)
     assert all(row.holds and row.worst_residual == 0.0 for row in table.rows)
     assert norms == []  # every gap and product is exactly zero (1,984 norms for a plain loop)
     decomposed = sum(len(m) if m.ndim == 3 else 1 for (m,) in eigs)
     assert decomposed == 32  # one decomposition per singleton (96 when each projection decomposes)
+    # exactly covariant: no shift is checked, and each row bounds the 31 orbit pairs (0, d), not 496
+    assert shifts == []
+    assert [(len(left), len(right)) for left, right, _ in bounded] == [(1, 32), (1, 32)]
 
 
 def test_build_pom_takes_no_exact_norm_but_the_deficit(monkeypatch):
@@ -420,6 +414,9 @@ def test_pair_bounds_match_plain_products_across_blocks(commutators):
     assert bounds.shape == (40 * 39 // 2,)
     assert np.allclose(bounds, expected, rtol=1e-12, atol=0.0)
     assert np.array_equal(bounds == 0.0, np.isin(rows, [0, 7]))
+    for r in (1, 2, 9, 39):  # a shorter left stack: its rows, the first of the pair order
+        first = pair_bounds(left[:r], right, product)
+        assert np.array_equal(first, bounds[: len(first)]) and len(first) == np.sum(rows < r)
 
 
 def test_propagator_diagonalizes_h_once_per_model(monkeypatch):

@@ -19,9 +19,10 @@ from opmeas.ensembles import (
     random_pom,
     trial_rng,
 )
-from opmeas.errors import NotNormalizedError
+from opmeas.errors import DimensionMismatchError, NotNormalizedError
 from opmeas.linalg import commutator_norm, hermitize, op_norm, outer, psd_sqrt
 from opmeas.luders import (
+    CausalityCReport,
     LudersInstrument,
     causality_check_C,
     heisenberg_dual,
@@ -388,6 +389,48 @@ def test_causality_check_examples():
     b_x = build_pom([(I2 + X) / 2, (I2 - X) / 2], require_normalized=True)
     rep = causality_check_C(a, b_x)
     assert rep.a_disturbs_b and rep.b_disturbs_a
+
+
+def _causality_check_C_loop(pom_a, pom_b, tol):
+    """Reference: one ``nondisturbance`` per effect, both ways."""
+    ia, ib = LudersInstrument.from_pom(pom_a), LudersInstrument.from_pom(pom_b)
+    return CausalityCReport(
+        a_disturbs_b=any(not nondisturbance(ia, f, tol).holds for f in pom_b.effects),
+        b_disturbs_a=any(not nondisturbance(ib, e, tol).holds for e in pom_a.effects),
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 5), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_causality_check_C_matches_the_per_effect_loop_at_every_deviation(
+    seed, dim, outcomes, commuting, one_effect_blocks
+):
+    # at a tol equal to any effect's deviation, or one ulp below it, the
+    # verdicts agree only if the stacked deviations equal the loop's bit for bit
+    rng = np.random.default_rng(seed)
+    if commuting:  # deviations at rounding level
+        pom_a, b = random_commuting_pom_and_effect(rng, dim, outcomes)
+        pom_b = build_pom([b.op, np.eye(dim) - b.op], require_normalized=True)
+    else:
+        pom_a, pom_b = random_pom(rng, dim, outcomes), random_pom(rng, dim, outcomes + 1)
+    deviations = [
+        nondisturbance(LudersInstrument.from_pom(source), e).deviation
+        for source, other in ((pom_a, pom_b), (pom_b, pom_a))
+        for e in other.effects
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        if one_effect_blocks:
+            mp.setattr(luders, "BLOCK_ENTRIES", 1)
+        for dev in deviations:
+            for tol in (dev, np.nextafter(dev, 0.0)):
+                assert causality_check_C(pom_a, pom_b, tol) == _causality_check_C_loop(pom_a, pom_b, tol)
+
+
+def test_causality_check_C_rejects_poms_of_different_dimensions():
+    a = build_pom([diag(1, 0), diag(0, 1)], require_normalized=True)
+    b = build_pom([np.eye(3) / 2, np.eye(3) / 2], require_normalized=True)
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+        causality_check_C(a, b)
 
 
 def test_nondisturbance_passes_to_coarse_grainings():
