@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import endpoint_projection, spectral_projection
+from .effects import TOL_ONE, endpoint_projection, spectral_projection
 from .errors import GeometryError, OpmeasError
 from .linalg import eig_hermitian, frobenius_norms, largest_norm, op_norm, pair_bounds
 from .localization import (
@@ -141,7 +141,7 @@ def strong_causality_chain(
     d1: SpatialSet,
     d2: SpatialSet,
     t: float,
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
 ) -> ChainReport:
     """Projection chain for a localized state staying inside its light cone.
 
@@ -218,7 +218,7 @@ class SingletonTable:
     strongly_unsharp: bool
 
 
-def singleton_conditions(lmap: LocalizationMap, tol: float = 1e-8) -> SingletonTable:
+def singleton_conditions(lmap: LocalizationMap, tol: float = TOL_ONE) -> SingletonTable:
     """Covariance over all shifts, strict and weak localizability over all
     disjoint singleton pairs at slice 0, and the largest singleton eigenvalue.
 
@@ -285,7 +285,7 @@ def _scan_windows(n: int) -> list[tuple[int, ...]]:
 def schlieder_scan(
     lmap: LocalizationMap,
     max_t: int,
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
     label: str = "",
 ) -> ScanReport:
     """Tabulate covariance, localizability, commutativity, and unit eigenvalues.

@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .causality import builtin_model_family, leakage_scan, schlieder_scan, singleton_conditions
-from .effects import is_sharp, is_strongly_unsharp, spectral_projection
+from .effects import TOL_ONE, is_sharp, is_strongly_unsharp, spectral_projection
 from .ensembles import run_objectivity_trials, run_prop1_trials
 from .errors import OpmeasError
 from .linalg import eig_hermitian
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--tol", type=float, default=TOL_ONE)
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", type=str, default=None, metavar="PATH")
 

@@ -20,7 +20,8 @@ from .linalg import TOL_HERM, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian,
 
 # Clustering tolerance for "eigenvalue equal to 1" / "equal to 0".  Looser
 # than TOL_EIG on purpose: the physically meaningful question is proximity
-# to the spectral endpoints, not floating-point identity.
+# to the spectral endpoints, not floating-point identity.  It is also the
+# default tol of every verdict (the equivalences, the scans, the CLI's --tol).
 TOL_ONE = 1e-8
 
 
@@ -132,6 +133,8 @@ def is_strongly_unsharp(e: Effect, tol: float = TOL_ONE) -> bool:
 class AnnihilationReport(NamedTuple):
     prod_zero: bool
     ranges_orthogonal: bool
+    prod_norm: float  # ||E1 E2||, which prod_zero compares with tol
+    range_prod_norm: float  # ||P1 P2||, which ranges_orthogonal compares with tol
 
 
 def annihilation_equivalence(e1: Effect, e2: Effect, tol: float = TOL_ONE) -> AnnihilationReport:
@@ -142,8 +145,11 @@ def annihilation_equivalence(e1: Effect, e2: Effect, tol: float = TOL_ONE) -> An
     the ranges of E1 and E2 are orthogonal.
     """
     linalg.require_same_dim(e1.op, e2.op)
-    prod_zero = op_norm(e1.op @ e2.op) <= tol
-    p1 = range_projection(e1, tol)
-    p2 = range_projection(e2, tol)
-    ranges_orthogonal = op_norm(p1.op @ p2.op) <= tol
-    return AnnihilationReport(prod_zero=prod_zero, ranges_orthogonal=ranges_orthogonal)
+    prod_norm = op_norm(e1.op @ e2.op)
+    range_prod_norm = op_norm(range_projection(e1, tol).op @ range_projection(e2, tol).op)
+    return AnnihilationReport(
+        prod_zero=prod_norm <= tol,
+        ranges_orthogonal=range_prod_norm <= tol,
+        prod_norm=prod_norm,
+        range_prod_norm=range_prod_norm,
+    )

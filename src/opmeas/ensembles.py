@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import (
+    TOL_ONE,
     Effect,
     annihilation_equivalence,
     is_sharp,
-    range_projection,
     validate_effect,
 )
 from .errors import OpmeasError
@@ -158,7 +158,7 @@ def run_prop1_trials(
     trials: int,
     dims: tuple[int, int] = (2, 6),
     outcomes: tuple[int, int] = (2, 2),
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
 ) -> list[Prop1Trial]:
     """Commutativity-vs-nondisturbance over a mixed ensemble.
 
@@ -214,7 +214,7 @@ def run_objectivity_trials(
     trials: int,
     dims: tuple[int, int] = (2, 6),
     outcomes: tuple[int, int] = (2, 4),
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
 ) -> list[ObjectivityTrial]:
     """Operation-commutation vs effect-commutation for pairs of POMs.
 
@@ -276,7 +276,7 @@ def run_annihilation_trials(
     seed: int,
     trials: int,
     dims: tuple[int, int] = (2, 6),
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
 ) -> list[AnnihilationTrial]:
     """E1 E2 = 0 vs orthogonality of range projections, both branches."""
     records = []
@@ -289,7 +289,6 @@ def run_annihilation_trials(
         else:
             e1, e2 = random_overlapping_pair(rng, dim)
         rep = annihilation_equivalence(e1, e2, tol)
-        p1, p2 = range_projection(e1), range_projection(e2)
         records.append(
             AnnihilationTrial(
                 seed=seed,
@@ -299,8 +298,8 @@ def run_annihilation_trials(
                 prod_zero=rep.prod_zero,
                 ranges_orthogonal=rep.ranges_orthogonal,
                 agree=rep.prod_zero == rep.ranges_orthogonal,
-                prod_norm=op_norm(e1.op @ e2.op),
-                range_prod_norm=op_norm(p1.op @ p2.op),
+                prod_norm=rep.prod_norm,
+                range_prod_norm=rep.range_prod_norm,
             )
         )
     return records
@@ -321,7 +320,7 @@ def run_sharpness_trials(
     seed: int,
     trials: int,
     dims: tuple[int, int] = (2, 6),
-    tol: float = 1e-8,
+    tol: float = TOL_ONE,
 ) -> list[SharpnessTrial]:
     """is_sharp vs the idempotency defect ||E^2 - E||, projector and generic draws."""
     records = []

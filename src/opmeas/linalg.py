@@ -38,10 +38,6 @@ TOL_EIG = 1e-10
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 
-# Threshold below which an eigenvector component is treated as zero when
-# fixing the overall phase.
-_PHASE_EPS = 1e-12
-
 # Relative slack on a Frobenius bound before it may prune.  A bound and the
 # exact norm of the same matrix round apart by about d * 2**-52 relative, which
 # this margin covers with room to spare.
@@ -94,9 +90,9 @@ class HermitianEigen:
     """Spectral decomposition of a Hermitian matrix, or of each of a stack.
 
     ``eigenvalues`` are real and ascending along the last axis; the columns
-    of ``eigenvectors`` are the matching orthonormal eigenvectors, each with
-    a fixed global phase (first significant component real and positive) so
-    repeated runs on identical input give identical output.
+    of ``eigenvectors`` are the matching orthonormal eigenvectors, with
+    whatever global phases LAPACK gives them: V f(Λ) V† and |v⟩⟨v| do not
+    depend on them.
     """
 
     eigenvalues: np.ndarray
@@ -104,29 +100,15 @@ class HermitianEigen:
 
 
 def eig_hermitian(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, or of each of a stack, with deterministic phases.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
     The operand is trusted to be Hermitian; its Hermitian part is what gets
     decomposed, so rounding skew from products is harmless.
     """
     evals, vecs = np.linalg.eigh(hermitize(m))
-    vecs = _fix_phases(vecs)
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return HermitianEigen(eigenvalues=evals, eigenvectors=vecs)
-
-
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate every column so its first significant component is real positive.
-
-    Unit columns always have a component above _PHASE_EPS for argmax to find."""
-    out = vecs.astype(complex)
-    # flat index of each column's pivot: the column's entry in row 0, plus d per row
-    at = (abs(out) > _PHASE_EPS).argmax(axis=-2, keepdims=True) * out.shape[-1]
-    pivots = out.reshape(-1)[at + np.arange(out.size).reshape(out.shape)[..., :1, :]]
-    # hypot, not np.abs: the vectorized complex abs can round the last bit differently
-    out *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
-    return out
 
 
 def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .effects import Effect
+from .effects import TOL_ONE, Effect
 from .errors import NotNormalizedError
 from .linalg import (
     BLOCK_ENTRIES,
@@ -36,8 +36,6 @@ from .linalg import (
     require_same_dim,
 )
 from .povm import Pom
-
-_EQUIV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,20 @@ def heisenberg_dual(instr: LudersInstrument, b: Effect) -> Effect:
     the dual of a Luders channel maps effects to effects.
     """
     require_same_dim(instr.kraus[0], b.op)
-    return Effect(op=hermitize((instr.kraus @ b.op @ instr.kraus).sum(axis=0)))
+    return Effect(op=_duals(instr.kraus, b.op[np.newaxis])[0])
+
+
+def _duals(kraus: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_i K_i B K_i for each B of a (M, d, d) stack,
+    from one broadcast product over the (K, d, d) Kraus stack."""
+    k = kraus[:, np.newaxis]
+    return hermitize((k @ effects @ k).sum(axis=0))
+
+
+def _deviations(evals: np.ndarray) -> np.ndarray:
+    """||D|| of each Hermitian D from its ascending eigenvalues: the larger of
+    |lowest| and |highest|."""
+    return np.maximum(abs(evals[..., 0]), abs(evals[..., -1]))
 
 
 class NondisturbanceReport(NamedTuple):
@@ -92,7 +103,7 @@ class NondisturbanceReport(NamedTuple):
     witness: State | None
 
 
-def nondisturbance(instr: LudersInstrument, b: Effect, tol: float = _EQUIV_TOL) -> NondisturbanceReport:
+def nondisturbance(instr: LudersInstrument, b: Effect, tol: float = TOL_ONE) -> NondisturbanceReport:
     """Fixed-point test for the Heisenberg dual.
 
     deviation = ||dual(B) - B||_op.  Since tr[rho (dual(B) - B)] ranges over
@@ -102,13 +113,11 @@ def nondisturbance(instr: LudersInstrument, b: Effect, tol: float = _EQUIV_TOL) 
     of the extremal eigenvalue, attaining |tr[rho dual(B)] - tr[rho B]| =
     deviation.
     """
-    d = heisenberg_dual(instr, b).op - b.op
-    eig = eig_hermitian(d)
-    lo, hi = eig.eigenvalues[0], eig.eigenvalues[-1]
-    deviation = float(max(abs(lo), abs(hi)))
+    eig = eig_hermitian(heisenberg_dual(instr, b).op - b.op)
+    deviation = float(_deviations(eig.eigenvalues))
     if deviation <= tol:
         return NondisturbanceReport(holds=True, deviation=deviation, witness=None)
-    col = 0 if abs(lo) >= abs(hi) else d.shape[0] - 1
+    col = 0 if abs(eig.eigenvalues[0]) == deviation else -1
     witness = State(rho=outer(eig.eigenvectors[:, col]))
     return NondisturbanceReport(holds=False, deviation=deviation, witness=witness)
 
@@ -122,7 +131,7 @@ class Prop1Report(NamedTuple):
     deviation: float
 
 
-def proposition1_verify(pom: Pom, b: Effect, tol: float = _EQUIV_TOL) -> Prop1Report:
+def proposition1_verify(pom: Pom, b: Effect, tol: float = TOL_ONE) -> Prop1Report:
     """Commutativity of B with a POM versus nondisturbance of B by its Luders channel.
 
     In finite dimension every effect has a discretely ordered spectrum, so
@@ -152,7 +161,7 @@ class ObjectivityReport(NamedTuple):
     max_order_gap: float
 
 
-def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = _EQUIV_TOL) -> ObjectivityReport:
+def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> ObjectivityReport:
     """Do the selective operations of two POMs commute as maps?
 
     For Kraus operators Ka, Kb the two orders are rho -> X rho X† with
@@ -202,7 +211,7 @@ class CausalityCReport(NamedTuple):
     b_disturbs_a: bool
 
 
-def causality_check_C(pom_a: Pom, pom_b: Pom, tol: float = _EQUIV_TOL) -> CausalityCReport:
+def causality_check_C(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> CausalityCReport:
     """Mutual statistics disturbance between two normalized POMs.
 
     A disturbs B when some effect of B fails the fixed-point test under
@@ -221,12 +230,10 @@ def _disturbs(instr: LudersInstrument, effects: np.ndarray, tol: float) -> bool:
     and one stacked ``eig_hermitian`` per block of at most ``BLOCK_ENTRIES``
     product entries (or one effect), each equal to ``nondisturbance``'s
     deviation bit for bit."""
-    kraus = instr.kraus[:, np.newaxis]
     step = max(1, BLOCK_ENTRIES // instr.kraus.size)
     for s in range(0, len(effects), step):
         block = effects[s : s + step]
-        dual = hermitize((kraus @ block @ kraus).sum(axis=0))
-        evals = eig_hermitian(dual - block).eigenvalues
-        if not (np.maximum(abs(evals[:, 0]), abs(evals[:, -1])) <= tol).all():
+        evals = eig_hermitian(_duals(instr.kraus, block) - block).eigenvalues
+        if not (_deviations(evals) <= tol).all():
             return True
     return False

@@ -13,7 +13,6 @@ subset sums and the commutator scan work on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,12 +57,6 @@ class Pom:
     outcomes: tuple
     stack: np.ndarray
     normalized: bool
-
-    @cached_property
-    def effects(self) -> tuple[Effect, ...]:
-        """The effects, as read-only views into the stack (the stack is the
-        POM's own, so unlike ``Effect(op=...)`` they take no copy)."""
-        return tuple(_view(m) for m in self.stack)
 
     @property
     def dim(self) -> int:
@@ -155,14 +148,6 @@ def _as_stack(ops) -> np.ndarray | None:
     return stack
 
 
-def _view(m: np.ndarray) -> Effect:
-    """An ``Effect`` on a read-only row of a POM's stack, without the copy
-    that ``Effect(op=...)`` takes of an operator from outside."""
-    effect = object.__new__(Effect)
-    object.__setattr__(effect, "op", m)
-    return effect
-
-
 def _screen(stack: np.ndarray, tol: float) -> list[int]:
     """Indices of the entries that the stacked screen cannot clear as effects.
 
@@ -207,7 +192,7 @@ def effect_of(pom: Pom, subset: Iterable[Outcome]) -> Effect:
 
 def is_sharp_pom(pom: Pom, tol: float = TOL_ONE) -> bool:
     """True iff every single-outcome effect is a projection (up to tol)."""
-    return all(is_sharp(e, tol) for e in pom.effects)
+    return all(is_sharp(Effect(op=m), tol) for m in pom.stack)
 
 
 class CommutativityReport(NamedTuple):

@@ -121,7 +121,7 @@ def test_criterion_05_sharpness_dichotomy(capsys):
             else random_pom(rng, dim, k)
         )
         pairwise_vanish = all(
-            op_norm(pom.effects[i].op @ pom.effects[j].op) <= TOL
+            op_norm(pom.stack[i] @ pom.stack[j]) <= TOL
             for i in range(len(pom))
             for j in range(len(pom))
             if i != j
@@ -150,7 +150,7 @@ def test_criterion_06_lattice_commutator_and_strong_unsharpness(capsys):
             worst = max(worst, rep.commutator)
     smeared = smeared_position_map(model, three_point_kernel(32))
     max_eig = max(
-        float(np.linalg.eigvalsh(e.op).max()) for e in smeared.base_pom.effects
+        float(np.linalg.eigvalsh(m).max()) for m in smeared.base_pom.stack
     )
     elapsed = time.perf_counter() - start
     ok = worst > 1e-3 and max_eig <= 0.5 + 1e-10 and elapsed < 60.0

@@ -21,7 +21,7 @@ from opmeas.causality import (
     strong_causality_chain,
 )
 from opmeas.cli import _default_horizon
-from opmeas.effects import spectral_projection
+from opmeas.effects import Effect, spectral_projection
 from opmeas.ensembles import random_pom, random_projective_pom
 from opmeas.errors import GeometryError, OpmeasError
 from opmeas.linalg import eig_hermitian, op_norm
@@ -302,8 +302,8 @@ def _check_covariance_loop(lmap, a, tol=1e-12):
     ta = np.linalg.matrix_power(shift_matrix(n), a % n)
     worst = 0.0
     for x in range(n):
-        shifted = ta @ lmap.base_pom.effects[x].op @ ta.conj().T
-        worst = max(worst, op_norm(shifted - lmap.base_pom.effects[(x + a) % n].op))
+        shifted = ta @ lmap.base_pom.stack[x] @ ta.conj().T
+        worst = max(worst, op_norm(shifted - lmap.base_pom.stack[(x + a) % n]))
     return worst <= tol, worst
 
 
@@ -311,7 +311,7 @@ def _singleton_pairs_loop(lmap, tol=1e-8):
     """Reference: the strict and weak values of every singleton pair in turn,
     three decompositions per site; two dicts keyed (x, y), x < y, in row-major order."""
     n = lmap.model.n_sites
-    singles = lmap.base_pom.effects
+    singles = [Effect(op=m) for m in lmap.base_pom.stack]
     p1s = [spectral_projection(e, "one", tol) for e in singles]
     p0s = [spectral_projection(e, "zero", tol) for e in singles]
     eye = np.eye(n, dtype=complex)
@@ -343,7 +343,7 @@ def _singleton_conditions_loop(lmap, tol=1e-8):
     strict, weak = _singleton_pairs_loop(lmap, tol)
     strict_worst, strict_case = _first_max(strict)
     weak_worst, weak_case = _first_max(weak)
-    max_eig = max(float(eig_hermitian(e.op).eigenvalues[-1]) for e in lmap.base_pom.effects)
+    max_eig = max(float(eig_hermitian(m).eigenvalues[-1]) for m in lmap.base_pom.stack)
     rows = (
         ConditionRow("covariance", cov_worst <= tol, cov_worst, cov_case),
         ConditionRow("localizability", strict_worst <= tol, strict_worst, strict_case),
@@ -354,9 +354,9 @@ def _singleton_conditions_loop(lmap, tol=1e-8):
 
 def _exactly_covariant(lmap) -> bool:
     """E_{x+a} = T^a E_x T^-a entry for entry, for every site x and shift a."""
-    n, effects = lmap.model.n_sites, lmap.base_pom.effects
+    n, effects = lmap.model.n_sites, lmap.base_pom.stack
     t = shift_matrix(n)
-    return all(np.array_equal(t @ effects[x].op @ t.T, effects[(x + 1) % n].op) for x in range(n))
+    return all(np.array_equal(t @ effects[x] @ t.T, effects[(x + 1) % n]) for x in range(n))
 
 
 def _assert_singletons_match_loops(lmap, tol=1e-8):
@@ -400,12 +400,12 @@ def _assert_singletons_match_loops(lmap, tol=1e-8):
 def test_singleton_conditions_match_loops_exactly(seed, n, kind):
     rng = np.random.default_rng(seed)
     if kind == "random":  # no symmetry at all
-        effects = [e.op for e in random_pom(rng, n, n).effects]
+        effects = list(random_pom(rng, n, n).stack)
     elif kind == "projective":  # unit eigenvalues, so the weak row has projections to compare
-        effects = [e.op for e in random_projective_pom(rng, n, int(rng.integers(1, n + 1))).effects]
+        effects = list(random_projective_pom(rng, n, int(rng.integers(1, n + 1))).stack)
         effects += [np.zeros((n, n), dtype=complex)] * (n - len(effects))
     elif kind == "duplicated":  # equal effects make exactly tied pairs and shifts
-        half = [e.op / 2 for e in random_pom(rng, n, (n + 1) // 2).effects]
+        half = list(random_pom(rng, n, (n + 1) // 2).stack / 2)
         effects = [m for m in half for _ in range(2)][:n]
     else:  # smeared by a random kernel, then covariance broken at two sites
         effects = _kernel_effects(rng, n)
@@ -512,7 +512,7 @@ def test_local_commutativity_row_matches_the_pair_loop_under_a_random_hamiltonia
     if kind == "sharp":
         lmap = sharp_position_map(model)
     else:
-        effects = _kernel_effects(rng, n) if kind == "kernel" else [e.op for e in random_pom(rng, n, n).effects]
+        effects = _kernel_effects(rng, n) if kind == "kernel" else list(random_pom(rng, n, n).stack)
         lmap = LocalizationMap(base_pom=build_pom(effects, require_normalized=False), model=model)
     max_t = 0  # the largest horizon that stays inside the cycle, at most 6
     while max_t < 6 and (max_t + 1) * light_speed * time_step < n / 2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -341,3 +342,81 @@ def test_causality_scan_geometry_violation_is_input_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cfg))
     assert main(["causality-scan", "--model", str(path), "--t-max", "4"]) == 1
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_same_report(got, want, atol: float, where: str = "") -> None:
+    """Equal JSON reports, except that numbers, also those inside strings,
+    need only agree within atol; verdicts (bools) and texts must be equal.
+    A row whose value is within atol of zero may name another worst case:
+    at rounding level, that is whichever pair rounds highest."""
+    if isinstance(want, str):
+        assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want), where
+        for u, v in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+            assert abs(float(u) - float(v)) <= atol, (where, u, v)
+    elif isinstance(want, bool) or want is None:
+        assert got is want, where
+    elif isinstance(want, (int, float)):
+        assert not isinstance(got, bool) and abs(got - want) <= atol, (where, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        value = want.get("value")
+        rounding_level = isinstance(value, float) and abs(value) <= atol
+        for key in want:
+            if not (key == "detail" and rounding_level):
+                _assert_same_report(got[key], want[key], atol, f"{where}.{key}")
+    else:
+        assert len(got) == len(want), where
+        for i, (u, v) in enumerate(zip(got, want)):
+            _assert_same_report(u, v, atol, f"{where}[{i}]")
+
+
+def test_no_report_reads_an_eigenvector_phase(monkeypatch, tmp_path, effect_file, capsys):
+    """Every consumer of ``eig_hermitian`` forms V f(L) V-dagger or |v><v|, so
+    multiplying each eigenvector by a random unit phase moves no verdict and
+    moves numbers only by rounding."""
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    interior = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    interior = interior @ interior.conj().T
+    runs = [
+        ["effect-check", "--effect", effect_file(np.outer(v, v.conj()) / np.vdot(v, v), "projection.json")],
+        ["effect-check", "--effect", effect_file(interior / (1.5 * np.linalg.norm(interior, 2)), "interior.json")],
+        ["luders-verify", "--trials", "50"],
+    ]
+    coherent = tmp_path / "coherent-8.json"
+    coherent.write_text(json.dumps({"n_sites": 8, "construction": "coherent"}))
+    runs.append(["localization-demo", "--model", str(coherent)])
+    for n in (8, 16):
+        for construction in ("sharp", "smeared", "coherent"):
+            path = tmp_path / f"{construction}-{n}.json"
+            path.write_text(json.dumps({"n_sites": n, "construction": construction}))
+            runs.append(["causality-scan", "--model", str(path)])
+
+    def reports():
+        out = []
+        for argv in runs:
+            code = main(argv + ["--format", "json"])
+            captured = capsys.readouterr()
+            out.append((code, json.loads(captured.out or "null"), captured.err))
+        return out
+
+    want = reports()
+    eigh, phases = np.linalg.eigh, np.random.default_rng(11)
+    rotated = []
+
+    def phased_eigh(a, *args, **kwargs):
+        evals, vecs = eigh(a, *args, **kwargs)
+        rotated.append(vecs.shape[-1])
+        turn = np.exp(2j * np.pi * phases.uniform(size=vecs.shape[:-2] + (1, vecs.shape[-1])))
+        return evals, vecs * turn
+
+    monkeypatch.setattr(np.linalg, "eigh", phased_eigh)
+    got = reports()
+    assert rotated  # the decompositions went through the rotating eigh
+    for argv, (code, report, err), (want_code, want_report, want_err) in zip(runs, got, want):
+        assert code == want_code, argv
+        _assert_same_report(report, want_report, 1e-12, " ".join(argv[:1]))
+        _assert_same_report(err, want_err, 1e-12, " ".join(argv[:1]))

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from opmeas.effects import is_sharp
+from opmeas.effects import Effect, is_sharp
 from opmeas.ensembles import (
     random_effect,
     random_orthogonal_support_pair,
@@ -46,7 +47,7 @@ def test_random_effect_spectrum_strictly_inside():
 
 def test_random_pom_normalized():
     pom = random_pom(trial_rng(2, 0), 4, 3)
-    total = sum(e.op for e in pom.effects)
+    total = pom.stack.sum(axis=0)
     assert op_norm(total - np.eye(4)) < 1e-10
     assert pom.normalized
 
@@ -55,7 +56,7 @@ def test_random_projective_pom_is_sharp():
     for trial in range(5):
         pom = random_projective_pom(trial_rng(3, trial), 5, 3)
         assert is_sharp_pom(pom)
-        assert sum(np.linalg.matrix_rank(e.op) for e in pom.effects) == 5
+        assert sum(np.linalg.matrix_rank(m) for m in pom.stack) == 5
 
 
 def test_orthogonal_pair_annihilates_and_overlapping_does_not():
@@ -90,6 +91,14 @@ def test_annihilation_trials_agree():
     assert any(not r.prod_zero for r in records)
 
 
+@pytest.mark.parametrize("tol", [0.5, 1e-8])
+def test_annihilation_records_read_their_verdicts_from_their_norms(tol):
+    # each record's norms are the ones its verdicts compare with the trial's tol
+    for r in run_annihilation_trials(seed=0, trials=200, tol=tol):
+        assert r.prod_zero == (r.prod_norm <= tol)
+        assert r.ranges_orthogonal == (r.range_prod_norm <= tol)
+
+
 def test_sharpness_trials_match_idempotency():
     records = run_sharpness_trials(seed=3, trials=60, dims=(2, 5))
     assert all(r.agree for r in records)
@@ -100,6 +109,6 @@ def test_sharpness_trials_match_idempotency():
 def test_sharpness_driver_sharp_means_projection():
     rng = trial_rng(5, 0)
     pom = random_projective_pom(rng, 4, 2)
-    for e in pom.effects:
-        assert is_sharp(e)
-        assert op_norm(e.op @ e.op - e.op) < 1e-12
+    for m in pom.stack:
+        assert is_sharp(Effect(op=m))
+        assert op_norm(m @ m - m) < 1e-12

@@ -11,8 +11,6 @@ from conftest import count_calls
 from opmeas import linalg, localization
 from opmeas.errors import DimensionMismatchError, OpmeasError, SpectrumOutOfRangeError
 from opmeas.linalg import (
-    _PHASE_EPS,
-    _fix_phases,
     as_matrix,
     commutator_norm,
     dagger,
@@ -103,46 +101,10 @@ def test_eigen_reconstruction_and_orthonormality(seed, dim):
     assert op_norm((v * eig.eigenvalues) @ v.conj().T - m) <= 1e-10 * max(1.0, op_norm(m))
 
 
-def test_eigenvector_phase_is_deterministic_and_positive():
-    m = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    e1 = eig_hermitian(m)
-    e2 = eig_hermitian(m.copy())
-    assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
-    for col in e1.eigenvectors.T:
-        lead = col[np.abs(col) > 1e-12][0]
-        assert lead.real > 0 and abs(lead.imag) <= 1e-12
-
-
-def _fix_phases_loop(vecs: np.ndarray) -> np.ndarray:
-    """Reference: the per-column loop that the argmax form replaced."""
-    out = np.array(vecs, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, j] = col * (pivot.conj() / abs(pivot))
-    return out
-
-
-@given(
-    st.integers(0, 10_000),
-    st.integers(1, 32),
-    st.sampled_from(["random", "diagonal", "degenerate", "block"]),
-)
-@settings(max_examples=120, deadline=None)
-def test_fix_phases_matches_loop_bit_for_bit(seed, dim, kind):
-    _, vecs = np.linalg.eigh(_hermitian_of(kind, np.random.default_rng(seed), dim))
-    got = _fix_phases(vecs)
-    want = _fix_phases_loop(vecs)
-    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-
-
 def _hermitian_of(kind: str, rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A Hermitian matrix of one of the shapes that stress the phase fix: generic,
-    diagonal, degenerate, or block-diagonal (the leading components of the lower
-    block's eigenvectors are exact zeros)."""
+    """A Hermitian matrix of one of the shapes that stress a stacked
+    eigendecomposition: generic, diagonal, degenerate, or block-diagonal (the
+    leading components of the lower block's eigenvectors are exact zeros)."""
     if kind == "random":
         return _rand_hermitian(rng, dim)
     if kind == "diagonal":

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import jv
 
 from opmeas.causality import singleton_conditions
-from opmeas.effects import is_strongly_unsharp, spectral_projection
+from opmeas.effects import Effect, is_strongly_unsharp, spectral_projection
 from opmeas.errors import GeometryError, NotHermitianError, OpmeasError
 from opmeas.linalg import commutator_norm, eig_hermitian, op_norm
 from opmeas.localization import (
@@ -161,7 +161,7 @@ def test_delta_kernel_reproduces_sharp_map():
     smeared = smeared_position_map(model, delta)
     sharp = sharp_position_map(model)
     for x in range(8):
-        assert np.array_equal(smeared.base_pom.effects[x].op, sharp.base_pom.effects[x].op)
+        assert np.array_equal(smeared.base_pom.stack[x], sharp.base_pom.stack[x])
 
 
 def test_three_point_kernel_and_window_eigenvalue():
@@ -171,20 +171,21 @@ def test_three_point_kernel_and_window_eigenvalue():
     model = make_model(8)
     lmap = smeared_position_map(model, k)
     # E_0 is diagonal with entries k[(0 - y) mod 8]; singleton max eig = 0.5
-    e0 = lmap.base_pom.effects[0].op
+    e0 = lmap.base_pom.stack[0]
     assert e0[0, 0] == pytest.approx(0.5)
     assert e0[1, 1] == pytest.approx(0.25) and e0[7, 7] == pytest.approx(0.25)
     assert np.linalg.eigvalsh(e0).max() == pytest.approx(0.5)
     # a width-3 window catches all the kernel mass around its centre:
     # max eigenvalue of E_{x-1} + E_x + E_{x+1} is exactly 1 - 0 = 1 here,
     # while a width-2 window tops out at 1 - side.
-    w2 = e0 + lmap.base_pom.effects[1].op
+    w2 = e0 + lmap.base_pom.stack[1]
     assert np.linalg.eigvalsh(w2).max() == pytest.approx(0.75)
 
 
 def test_smeared_singletons_strongly_unsharp():
     lmap = smeared_position_map(make_model(8), three_point_kernel(8))
-    for e in lmap.base_pom.effects:
+    for m in lmap.base_pom.stack:
+        e = Effect(op=m)
         assert is_strongly_unsharp(e)
         assert spectral_projection(e, "one").rank == 0
 
@@ -230,11 +231,11 @@ def test_coherent_povm_resolves_identity():
     model = make_model(6)
     povm = coherent_state_povm(model, gaussian_fiducial(6))
     assert len(povm) == 36
-    total = sum(e.op for e in povm.effects)
+    total = povm.stack.sum(axis=0)
     assert op_norm(total - np.eye(6)) < 1e-12
-    for e in povm.effects:
-        assert np.linalg.matrix_rank(e.op, tol=1e-10) == 1
-        assert np.trace(e.op).real == pytest.approx(1.0 / 6.0)
+    for m in povm.stack:
+        assert np.linalg.matrix_rank(m, tol=1e-10) == 1
+        assert np.trace(m).real == pytest.approx(1.0 / 6.0)
 
 
 def _coherent_stack_loop(n: int, eta: np.ndarray) -> tuple[np.ndarray, list]:
@@ -365,7 +366,7 @@ def test_coherent_marginal_is_smeared_sharp():
     marg = position_marginal(model, eta)
     for q in range(8):
         expected = np.diag([abs(eta[(x - q) % 8]) ** 2 for x in range(8)])
-        assert np.allclose(marg.base_pom.effects[q].op, expected, atol=1e-12)
+        assert np.allclose(marg.base_pom.stack[q], expected, atol=1e-12)
     assert is_commutative(marg.base_pom).commutative
 
 
@@ -376,7 +377,7 @@ def test_coherent_marginal_point_fiducial_is_sharp():
     marg = position_marginal(model, point)
     sharp = sharp_position_map(model)
     for q in range(4):
-        assert np.allclose(marg.base_pom.effects[q].op, sharp.base_pom.effects[q].op, atol=1e-14)
+        assert np.allclose(marg.base_pom.stack[q], sharp.base_pom.stack[q], atol=1e-14)
 
 
 def test_coherent_povm_noncommutative_but_marginal_commutes(povm_marginal):
@@ -426,5 +427,5 @@ def test_effect_for_evolves_in_heisenberg_picture():
     lmap = hopping_map(8)
     d = SpatialSet({2, 3}, time_slice=2)
     u = propagator(lmap.model, 2)
-    base = lmap.base_pom.effects[2].op + lmap.base_pom.effects[3].op
+    base = lmap.base_pom.stack[2] + lmap.base_pom.stack[3]
     assert np.allclose(effect_for(lmap, d).op, u.conj().T @ base @ u, atol=1e-12)

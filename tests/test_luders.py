@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeas.effects import validate_effect
+from opmeas.effects import Effect, validate_effect
 from opmeas import ensembles, luders
 from opmeas.ensembles import (
     random_commuting_pom_and_effect,
@@ -81,8 +81,8 @@ def test_instrument_kraus_is_one_read_only_stack_of_roots():
     kraus = LudersInstrument.from_pom(pom).kraus
     assert isinstance(kraus, np.ndarray) and kraus.shape == (3, 4, 4)
     assert not kraus.flags.writeable
-    for k, e in zip(kraus, pom.effects):
-        assert np.array_equal(k, psd_sqrt(e.op))
+    for k, m in zip(kraus, pom.stack):
+        assert np.array_equal(k, psd_sqrt(m))
 
 
 def test_instrument_kraus_squares_sum_to_identity():
@@ -113,8 +113,8 @@ def test_channel_unsharp_binary_against_sqrt_oracle():
     rho = diag(1.0, 0.0)
     out = channel(instr, rho)
     expected = np.zeros((2, 2), dtype=complex)
-    for e in pom.effects:
-        r = sqrt2x2(e.op)
+    for m in pom.stack:
+        r = sqrt2x2(m)
         expected += r @ rho @ r
     assert np.allclose(out, expected, atol=1e-12)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
@@ -130,7 +130,7 @@ def test_selective_decomposes_channel_and_probabilities_sum():
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-10)
     # probability = tr[rho E_i]
     for i, p in zip(pom.outcomes, probabilities):
-        assert p == pytest.approx(float(np.trace(rho @ pom.effects[i].op).real), abs=1e-12)
+        assert p == pytest.approx(float(np.trace(rho @ pom.stack[i]).real), abs=1e-12)
 
 
 def test_selective_sharp_example():
@@ -191,7 +191,7 @@ def _heisenberg_dual_loop(instr: LudersInstrument, b) -> np.ndarray:
 
 def _proposition1_loop(pom, b, tol=1e-8) -> tuple:
     """Reference: one commutator norm per effect, then the dual's fixed-point test."""
-    max_comm = max(commutator_norm(b.op, e.op) for e in pom.effects)
+    max_comm = max(commutator_norm(b.op, m) for m in pom.stack)
     nd = nondisturbance(LudersInstrument.from_pom(pom), b, tol)
     return max_comm, max_comm <= tol, nd.holds, nd.deviation
 
@@ -337,7 +337,7 @@ def _kron_order_gap(pom_a, pom_b) -> tuple[float, float]:
             ab = ka @ kb
             ba = kb @ ka
             gap = max(gap, float(np.linalg.norm(np.kron(ab, ab.conj()) - np.kron(ba, ba.conj()))))
-    max_eff = max(commutator_norm(ea.op, eb.op) for ea in pom_a.effects for eb in pom_b.effects)
+    max_eff = max(commutator_norm(ea, eb) for ea in pom_a.stack for eb in pom_b.stack)
     return gap, max_eff
 
 
@@ -395,8 +395,8 @@ def _causality_check_C_loop(pom_a, pom_b, tol):
     """Reference: one ``nondisturbance`` per effect, both ways."""
     ia, ib = LudersInstrument.from_pom(pom_a), LudersInstrument.from_pom(pom_b)
     return CausalityCReport(
-        a_disturbs_b=any(not nondisturbance(ia, f, tol).holds for f in pom_b.effects),
-        b_disturbs_a=any(not nondisturbance(ib, e, tol).holds for e in pom_a.effects),
+        a_disturbs_b=any(not nondisturbance(ia, Effect(op=f), tol).holds for f in pom_b.stack),
+        b_disturbs_a=any(not nondisturbance(ib, Effect(op=e), tol).holds for e in pom_a.stack),
     )
 
 
@@ -414,9 +414,9 @@ def test_causality_check_C_matches_the_per_effect_loop_at_every_deviation(
     else:
         pom_a, pom_b = random_pom(rng, dim, outcomes), random_pom(rng, dim, outcomes + 1)
     deviations = [
-        nondisturbance(LudersInstrument.from_pom(source), e).deviation
+        nondisturbance(LudersInstrument.from_pom(source), Effect(op=e)).deviation
         for source, other in ((pom_a, pom_b), (pom_b, pom_a))
-        for e in other.effects
+        for e in other.stack
     ]
     with pytest.MonkeyPatch.context() as mp:
         if one_effect_blocks:

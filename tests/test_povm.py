@@ -114,8 +114,8 @@ def _assert_build_matches_loop(effects, require_normalized=False):
     labels, ops, normalized = want
     assert (got.outcomes, got.normalized) == (labels, normalized)
     assert got.stack.shape == (len(ops),) + ops[0].shape
-    for e, m in zip(got.effects, ops):
-        assert np.array_equal(e.op.view(np.uint8), m.view(np.uint8))
+    for e, m in zip(got.stack, ops):
+        assert np.array_equal(e.view(np.uint8), m.view(np.uint8))
 
 
 _FAULTS = ("above one", "below zero", "not hermitian", "not finite", "wrong dim", "not square")
@@ -148,7 +148,7 @@ def _faulty(rng, dim, fault):
 @settings(max_examples=200, deadline=None)
 def test_build_pom_matches_entry_loop(seed, dim, k, faults, as_array):
     rng = np.random.default_rng(seed)
-    effects = [e.op for e in random_pom(rng, dim, k).effects]
+    effects = list(random_pom(rng, dim, k).stack)
     for pos, fault in faults:
         effects[pos % k] = _faulty(rng, dim, fault)
     if as_array and not faults:
@@ -171,7 +171,7 @@ def test_build_pom_matches_entry_loop(seed, dim, k, faults, as_array):
 )
 def test_build_pom_mixed_faults_raise_as_the_loop(faults):
     rng = np.random.default_rng(11)
-    effects = [e.op / 2 for e in random_pom(rng, 3, 6).effects]
+    effects = list(random_pom(rng, 3, 6).stack / 2)
     for pos, fault in zip((1, 4), faults):
         effects[pos] = _faulty(rng, 3, fault)
     with pytest.raises(InvalidEffectError) as exc:
@@ -238,10 +238,8 @@ def test_pom_keeps_one_read_only_stack():
         # the caller's array stays the caller's, read-only or not
         assert np.array_equal(pom.stack[0], diag(1, 0)) and not pom.stack.flags.writeable
         assert np.array_equal(effect.op, diag(1, 0))
-    # the effects are read-only views into the POM's own stack
-    assert all(np.shares_memory(e.op, pom.stack) for e in pom.effects)
     with pytest.raises(ValueError):
-        pom.effects[0].op[0, 0] = 0.0
+        pom.stack[0][0, 0] = 0.0
 
 
 def test_effect_of_full_set_and_empty_set():
@@ -253,9 +251,9 @@ def test_effect_of_full_set_and_empty_set():
 def _effect_of_loop(pom, subset) -> np.ndarray:
     """Reference: the chosen effects added in turn, in outcome order."""
     total = np.zeros((pom.dim, pom.dim), dtype=complex)
-    for label, e in zip(pom.outcomes, pom.effects):
+    for label, m in zip(pom.outcomes, pom.stack):
         if label in subset:
-            total = total + e.op
+            total = total + m
     return total
 
 
@@ -321,7 +319,7 @@ def test_sharpness_iff_disjoint_products_vanish(seed):
     else:
         pom = random_pom(rng, dim, n_out)
     products_vanish = all(
-        op_norm(pom.effects[i].op @ pom.effects[j].op) <= 1e-8
+        op_norm(pom.stack[i] @ pom.stack[j]) <= 1e-8
         for i in range(len(pom))
         for j in range(len(pom))
         if i != j
@@ -347,7 +345,7 @@ def _scan_loop(pom):
     worst, worst_pair = 0.0, None
     for i in range(len(pom)):
         for j in range(i + 1, len(pom)):
-            c = commutator_norm(pom.effects[i].op, pom.effects[j].op)
+            c = commutator_norm(pom.stack[i], pom.stack[j])
             if c > worst:
                 worst, worst_pair = c, (pom.outcomes[i], pom.outcomes[j])
     return worst, worst_pair
@@ -384,7 +382,7 @@ def test_is_commutative_matches_pair_loop_exactly(seed, dim, n_out, kind):
         w = rng.uniform(0.0, 1.0, (n_out, dim))
         pom = build_pom([np.diag(row).astype(complex) for row in w / w.sum(axis=0)], False)
     elif kind == "duplicated":  # each effect twice, so equal pairs tie bit for bit
-        half = [e.op / 2 for e in random_pom(rng, dim, (n_out + 1) // 2).effects]
+        half = list(random_pom(rng, dim, (n_out + 1) // 2).stack / 2)
         pom = build_pom([m for m in half for _ in range(2)][:n_out], False)
     else:  # rank-one commutators have two equal singular values
         pom = _rank_one_pom(rng, dim, n_out, 2 if kind == "rank-one-duplicated" else 1)
@@ -424,16 +422,16 @@ def test_coarse_grain_merges_and_preserves_normalization():
     pom = build_pom(effects, require_normalized=True)
     merged = coarse_grain(pom, [{0, 1}, {2, 3}])
     assert merged.normalized and len(merged) == 2
-    assert np.array_equal(merged.effects[0].op, diag(1, 1, 0, 0))
-    assert np.array_equal(merged.effects[1].op, diag(0, 0, 1, 1))
+    assert np.array_equal(merged.stack[0], diag(1, 1, 0, 0))
+    assert np.array_equal(merged.stack[1], diag(0, 0, 1, 1))
 
 
 def test_coarse_grain_trivial_and_singleton_partitions():
     pom = build_pom([diag(0.5, 0.2), diag(0.5, 0.8)], require_normalized=True)
     whole = coarse_grain(pom, [set(pom.outcomes)])
-    assert len(whole) == 1 and np.allclose(whole.effects[0].op, I2)
+    assert len(whole) == 1 and np.allclose(whole.stack[0], I2)
     same = coarse_grain(pom, [{0}, {1}])
-    assert all(np.array_equal(a.op, b.op) for a, b in zip(same.effects, pom.effects))
+    assert np.array_equal(same.stack, pom.stack)
 
 
 def test_coarse_grain_commutes_with_effect_of_on_unions():

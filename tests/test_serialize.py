@@ -84,8 +84,7 @@ def test_pom_round_trip_preserves_labels_and_flag():
     back = pom_from_json(json.loads(json.dumps(pom_to_json(pom))))
     assert back.outcomes == ("left", "right")
     assert back.normalized
-    for a, b in zip(back.effects, pom.effects):
-        assert np.array_equal(a.op, b.op)
+    assert np.array_equal(back.stack, pom.stack)
 
 
 def test_pom_from_json_can_require_normalized():
@@ -145,7 +144,7 @@ def test_short_kernel_zero_padded():
         {"n_sites": 8, "construction": "smeared", "kernel": [0.5, 0.25, 0.25]}
     )
     lmap = build_construction(cfg)
-    e0 = lmap.base_pom.effects[0].op
+    e0 = lmap.base_pom.stack[0]
     # offsets 0..2 get the mass; offset 7 (i.e. k[-1]) stays zero
     assert e0[0, 0] == pytest.approx(0.5)
     assert e0[7, 7] == pytest.approx(0.25)  # site 7 is offset -7 = +1? no:
@@ -159,7 +158,7 @@ def test_smeared_defaults_to_three_point_kernel():
     lmap = build_construction(cfg)
     expected = three_point_kernel(8)
     assert np.array_equal(cfg.kernel, expected)  # resolved once, by the loader
-    e0 = lmap.base_pom.effects[0].op
+    e0 = lmap.base_pom.stack[0]
     assert e0[0, 0] == pytest.approx(expected[0])
     assert e0[1, 1] == pytest.approx(expected[-1])
 
@@ -169,8 +168,7 @@ def test_sharp_construction_matches_direct():
     lmap = build_construction(cfg)
     assert cfg.kernel is None and cfg.fiducial is None
     direct = sharp_position_map(build_model(cfg))
-    for a, b in zip(lmap.base_pom.effects, direct.base_pom.effects):
-        assert np.array_equal(a.op, b.op)
+    assert np.array_equal(lmap.base_pom.stack, direct.base_pom.stack)
 
 
 def test_coherent_construction_returns_the_position_marginal():
@@ -189,7 +187,7 @@ def test_coherent_construction_returns_the_position_marginal():
         {"n_sites": 6, "construction": "coherent", "fiducial": [[1.0, 0.0]] + [[0.0, 0.0]] * 5}
     )
     lmap2 = build_construction(cfg2)
-    assert lmap2.base_pom.effects[0].op[0, 0] == pytest.approx(1.0)
+    assert lmap2.base_pom.stack[0][0, 0] == pytest.approx(1.0)
 
 
 def test_fiducial_wrong_length_rejected_at_parse():
