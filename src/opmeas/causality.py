@@ -60,15 +60,16 @@ _T_EPS = 1e-9
 
 
 def inflated_set(d: SpatialSet, t: float, model: LatticeModel) -> SpatialSet:
-    """Grow a set by the light-cone radius floor(c*t).
+    """Grow a set by the light-cone radius floor(c*tau*t) of ``cone_radius``,
+    the radius ``spacelike_separated`` reads.
 
-    The result sits at slice time_slice + floor(t); at t = 0 it is d
-    itself.  Monotone in t, saturating to the whole lattice once the
-    radius reaches N/2.
+    t counts time steps of length tau.  The result sits at slice
+    time_slice + floor(t); at t = 0 it is d itself.  Monotone in t,
+    saturating to the whole lattice once the radius reaches N/2.
     """
     if t < 0:
         raise GeometryError("inflation time must be nonnegative")
-    radius = int(math.floor(model.light_speed * t + _T_EPS))
+    radius = int(math.floor(cone_radius(model, t) + _T_EPS))
     n = model.n_sites
     grown = {
         x

@@ -5,13 +5,31 @@ generator, keyed per trial via ``SeedSequence(entropy=seed, spawn_key=(trial,))`
 Trial n always sees the same stream no matter how many trials run, in what
 order, or on how many workers, so reports are reproducible and mergeable.
 
-Each driver returns one flat record per trial; the CSV/JSON emission lives
-in the CLI layer.
+The generators behind the Lüders checks are each split in two.  A draw takes
+all random numbers of one instance from its stream, in a fixed order, and no
+draw depends on a matrix.  A construction is a stacked kernel over many
+instances of one dimension.  ``random_pom``, ``random_effect`` and
+``random_commuting_pom_and_effect`` are a draw followed by a construction
+of one instance.
+
+``run_prop1_trials`` and ``run_objectivity_trials`` work in windows of
+trials, each window's draws holding at most ``BLOCK_ENTRIES`` entries.  They
+first draw every trial of a window.  Then, for each dimension, they run the
+constructions, the validation (``povm.validate_poms``) and the checks
+(``luders.*_reports``) of that dimension's trials as stacked passes, a few
+LAPACK calls per group instead of a few per trial.  Every stacked kernel
+gives each instance what it gives that instance alone, bit for bit, so a
+trial's record does not depend on which window or group it lands in.
+
+Each driver returns one flat record per trial, in trial order; the CSV/JSON
+emission lives in the CLI layer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +41,9 @@ from .effects import (
     validate_effect,
 )
 from .errors import OpmeasError
-from .linalg import eig_hermitian, hermitize, op_norm
-from .luders import causality_check_C, objectivity_check, proposition1_verify
-from .povm import Pom, build_pom
+from .linalg import BLOCK_ENTRIES, dagger, eig_hermitian, hermitize, op_norm, sum_in_order
+from .luders import causality_reports, objectivity_reports, proposition1_reports
+from .povm import Pom, PomBatch, _stack_pom, build_pom, validate_effects, validate_poms
 
 _MARGIN = 1e-6
 
@@ -42,28 +60,87 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary: QR of a Ginibre matrix with the usual phase fix."""
-    q, r = np.linalg.qr(_ginibre(rng, dim))
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+    return _unitaries(_ginibre(rng, dim)[np.newaxis])[0]
+
+
+def _unitaries(g: np.ndarray) -> np.ndarray:
+    """``random_unitary``'s unitary of each Ginibre matrix of a stack."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def _diag(values: np.ndarray) -> np.ndarray:
+    """The complex diagonal matrix of each row of a (M, d) array."""
+    m, d = values.shape
+    out = np.zeros((m, d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = values
+    return out
+
+
+def _diagonal_in(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian part of U diag(v) U† for each U of a (M, d, d) stack and the
+    row v of a (M, d) array."""
+    return hermitize(u @ _diag(values) @ dagger(u))
+
+
+def _diagonal_poms(bases: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The entries and counts of the POMs diagonal in each basis of a stack,
+    with the (d, K) outcome weights of the same row: effect i of a POM is
+    ``_diagonal_in`` of its basis and weight column i."""
+    counts = np.array([w.shape[1] for w in weights])
+    return _diagonal_in(np.repeat(bases, counts, axis=0), np.concatenate([w.T for w in weights])), counts
+
+
+def _draw_effect(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
+    """``random_effect``'s draws: a Ginibre matrix and the top of the spectrum."""
+    return _ginibre(rng, dim), rng.uniform(0.2, 1.0 - _MARGIN)
+
+
+def _scaled(g: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """``random_effect``'s operator of each Ginibre matrix of a stack: G†G with
+    its spectrum rescaled to the top of the same row."""
+    m = hermitize(dagger(g) @ g)
+    return m * (tops / eig_hermitian(m).eigenvalues[:, -1])[:, np.newaxis, np.newaxis]
 
 
 def random_effect(rng: np.random.Generator, dim: int) -> Effect:
     """PSD Ginibre square, spectrum rescaled strictly inside [0, 1)."""
-    g = _ginibre(rng, dim)
-    m = hermitize(g.conj().T @ g)
-    top = eig_hermitian(m).eigenvalues[-1]
-    scale = rng.uniform(0.2, 1.0 - _MARGIN) / top
-    return validate_effect(m * scale)
+    g, top = _draw_effect(rng, dim)
+    op = _scaled(g[np.newaxis], np.array([top]))
+    validate_effects(op)
+    return Effect(op=op[0])
+
+
+def _draw_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """``random_pom``'s draws: one Ginibre matrix per outcome."""
+    return np.array([_ginibre(rng, dim) for _ in range(n_outcomes)])
+
+
+def _whitened(raw: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``random_pom``'s entries of the POMs of a batch of Ginibre draws: the
+    PSD squares G†G, whitened by the inverse root of their POM's sum."""
+    batch = PomBatch(entries=hermitize(dagger(raw) @ raw), counts=counts)
+    eig = eig_hermitian(sum_in_order(batch.padded(), axis=1))
+    v = eig.eigenvectors
+    w = (v @ _diag(1.0 / np.sqrt(eig.eigenvalues)) @ dagger(v))[batch.owners]
+    return hermitize(w @ batch.entries @ w)
 
 
 def random_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> Pom:
     """Normalized POM: k PSD draws whitened by the inverse root of their sum."""
-    raw = [hermitize(g.conj().T @ g) for g in (_ginibre(rng, dim) for _ in range(n_outcomes))]
-    eig = eig_hermitian(sum(raw))
-    w = eig.eigenvectors @ np.diag(1.0 / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
-    effects = [hermitize(w @ m @ w) for m in raw]
-    return build_pom(effects, require_normalized=True)
+    stack = _whitened(_draw_pom(rng, dim, n_outcomes), np.array([n_outcomes]))
+    stack.setflags(write=False)
+    return _stack_pom(stack, require_normalized=True)
+
+
+def _draw_commuting(rng: np.random.Generator, dim: int, n_outcomes: int) -> tuple:
+    """``random_commuting_pom_and_effect``'s draws: a Ginibre matrix for the
+    basis, Dirichlet outcome weights per basis vector and the spectrum of
+    the effect."""
+    g = _ginibre(rng, dim)
+    weights = rng.dirichlet(np.ones(n_outcomes), size=dim)  # rows sum to 1
+    return g, weights, rng.uniform(0.0, 1.0, size=dim)
 
 
 def random_commuting_pom_and_effect(
@@ -74,12 +151,14 @@ def random_commuting_pom_and_effect(
     Outcome weights per basis vector are Dirichlet rows, so the effects sum
     to the identity exactly and everything commutes by construction.
     """
-    u = random_unitary(rng, dim)
-    weights = rng.dirichlet(np.ones(n_outcomes), size=dim)  # rows sum to 1
-    effects = [hermitize(u @ np.diag(weights[:, i].astype(complex)) @ u.conj().T) for i in range(n_outcomes)]
-    pom = build_pom(effects, require_normalized=True)
-    b = validate_effect(hermitize(u @ np.diag(rng.uniform(0.0, 1.0, size=dim).astype(complex)) @ u.conj().T))
-    return pom, b
+    g, weights, spectrum = _draw_commuting(rng, dim, n_outcomes)
+    u = _unitaries(g[np.newaxis])
+    stack, _ = _diagonal_poms(u, [weights])
+    stack.setflags(write=False)
+    pom = _stack_pom(stack, require_normalized=True)
+    b = _diagonal_in(u, spectrum[np.newaxis])
+    validate_effects(b)
+    return pom, Effect(op=b[0])
 
 
 def random_orthogonal_support_pair(rng: np.random.Generator, dim: int) -> tuple[Effect, Effect]:
@@ -138,6 +217,29 @@ def _pick_dim(rng: np.random.Generator, dims: tuple[int, int]) -> int:
 # trial drivers
 
 
+def _windows(trials: int, dims: tuple[int, int], draws_per_trial: int) -> list[range]:
+    """Consecutive ranges of trials whose draws, at most draws_per_trial
+    matrices of the largest dimension per trial, hold at most
+    ``BLOCK_ENTRIES`` entries (or one trial)."""
+    size = max(1, BLOCK_ENTRIES // (max(1, dims[1]) ** 2 * max(1, draws_per_trial)))
+    return [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+
+
+class _Draw(NamedTuple):
+    """All random numbers of one trial, taken from its stream in order."""
+
+    trial: int
+    dim: int
+    commuting: bool
+    parts: tuple
+
+
+def _by_dim(draws: list[_Draw]) -> list[list[_Draw]]:
+    """The draws grouped by dimension, commuting trials first in each group."""
+    ordered = sorted(draws, key=lambda d: (d.dim, not d.commuting))
+    return [list(group) for _, group in itertools.groupby(ordered, key=lambda d: d.dim)]
+
+
 @dataclass(frozen=True)
 class Prop1Trial:
     seed: int
@@ -166,34 +268,63 @@ def run_prop1_trials(
     pair so the equivalence is exercised on both branches, not just the
     generic noncommuting one.
     """
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        dim = _pick_dim(rng, dims)
-        n_out = _pick_dim(rng, outcomes)
-        commuting = rng.uniform() < 1.0 / 3.0
-        if commuting:
-            pom, b = random_commuting_pom_and_effect(rng, dim, n_out)
-        else:
-            pom = random_pom(rng, dim, n_out)
-            b = random_effect(rng, dim)
-        rep = proposition1_verify(pom, b, tol)
-        records.append(
-            Prop1Trial(
-                seed=seed,
-                trial=t,
-                dim=dim,
-                outcomes=n_out,
-                kind="commuting" if commuting else "generic",
-                case=rep.case,
-                commute=rep.commute,
-                nondisturb=rep.nondisturb,
-                equivalent=rep.equivalent,
-                max_commutator=rep.max_commutator,
-                deviation=rep.deviation,
-            )
-        )
+    records: list[Prop1Trial] = []
+    for window in _windows(trials, dims, outcomes[1] + 1):
+        draws = []
+        for t in window:
+            rng = trial_rng(seed, t)
+            dim = _pick_dim(rng, dims)
+            n_out = _pick_dim(rng, outcomes)
+            if rng.uniform() < 1.0 / 3.0:
+                draws.append(_Draw(t, dim, True, _draw_commuting(rng, dim, n_out)))
+            else:
+                draws.append(_Draw(t, dim, False, (_draw_pom(rng, dim, n_out), *_draw_effect(rng, dim))))
+        rows = {}
+        for group in _by_dim(draws):
+            rows.update(_prop1_group(seed, group, tol))
+        records.extend(rows[t] for t in window)
     return records
+
+
+def _prop1_group(seed: int, group: list[_Draw], tol: float) -> dict[int, Prop1Trial]:
+    """The records of one dimension's trials, from stacked passes."""
+    commuting = [d.parts for d in group if d.commuting]
+    generic = [d.parts for d in group if not d.commuting]
+    entries, counts, bs = [], [], []
+    if commuting:
+        g, weights, spectra = zip(*commuting)
+        u = _unitaries(np.array(g))
+        e, k = _diagonal_poms(u, weights)
+        entries.append(e)
+        counts.append(k)
+        bs.append(_diagonal_in(u, np.array(spectra)))
+    if generic:
+        raw, g, tops = zip(*generic)
+        counts.append(np.array([len(r) for r in raw]))
+        entries.append(_whitened(np.concatenate(raw), counts[-1]))
+        bs.append(_scaled(np.array(g), np.array(tops)))
+    counts = np.concatenate(counts)
+    batch = PomBatch(entries=np.concatenate(entries), counts=counts)
+    validate_poms(batch, require_normalized=True)
+    bs = np.concatenate(bs)
+    validate_effects(bs)
+    reports = proposition1_reports(batch, bs, tol)
+    return {
+        d.trial: Prop1Trial(
+            seed=seed,
+            trial=d.trial,
+            dim=d.dim,
+            outcomes=int(k),
+            kind="commuting" if d.commuting else "generic",
+            case=rep.case,
+            commute=rep.commute,
+            nondisturb=rep.nondisturb,
+            equivalent=rep.equivalent,
+            max_commutator=rep.max_commutator,
+            deviation=rep.deviation,
+        )
+        for d, k, rep in zip(group, counts, reports)
+    }
 
 
 @dataclass(frozen=True)
@@ -219,44 +350,76 @@ def run_objectivity_trials(
     """Operation-commutation vs effect-commutation for pairs of POMs.
 
     Also verifies the one-way link: whenever the selective operations
-    commute, neither measurement disturbs the other's statistics.
+    commute, neither measurement disturbs the other's statistics.  A
+    commuting trial's second POM is diagonal in the eigenbasis of the first
+    POM's first effect.
     """
-    records = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        dim = _pick_dim(rng, dims)
-        commuting = rng.uniform() < 1.0 / 3.0
-        if commuting:
-            pom_a, _ = random_commuting_pom_and_effect(rng, dim, _pick_dim(rng, outcomes))
-            # second POM diagonal in the same basis: coarse-grain-free redraw
-            u = eig_hermitian(pom_a.stack[0]).eigenvectors
-            weights = rng.dirichlet(np.ones(_pick_dim(rng, outcomes)), size=dim)
-            pom_b = build_pom(
-                [hermitize(u @ np.diag(weights[:, i].astype(complex)) @ u.conj().T) for i in range(weights.shape[1])],
-                require_normalized=True,
-            )
-        else:
-            pom_a = random_pom(rng, dim, _pick_dim(rng, outcomes))
-            pom_b = random_pom(rng, dim, _pick_dim(rng, outcomes))
-        rep = objectivity_check(pom_a, pom_b, tol)
-        link_holds = True
-        if rep.ops_commute:
-            cc = causality_check_C(pom_a, pom_b, tol)
-            link_holds = not (cc.a_disturbs_b or cc.b_disturbs_a)
-        records.append(
-            ObjectivityTrial(
-                seed=seed,
-                trial=t,
-                dim=dim,
-                kind="commuting" if commuting else "generic",
-                ops_commute=rep.ops_commute,
-                effects_commute=rep.effects_commute,
-                agree=rep.agree,
-                max_order_gap=rep.max_order_gap,
-                link_holds=link_holds,
-            )
-        )
+    records: list[ObjectivityTrial] = []
+    for window in _windows(trials, dims, 2 * outcomes[1]):
+        draws = []
+        for t in window:
+            rng = trial_rng(seed, t)
+            dim = _pick_dim(rng, dims)
+            if rng.uniform() < 1.0 / 3.0:
+                g, weights_a, _ = _draw_commuting(rng, dim, _pick_dim(rng, outcomes))  # no effect is formed
+                weights_b = rng.dirichlet(np.ones(_pick_dim(rng, outcomes)), size=dim)
+                draws.append(_Draw(t, dim, True, (g, weights_a, weights_b)))
+            else:
+                raw_a = _draw_pom(rng, dim, _pick_dim(rng, outcomes))
+                draws.append(_Draw(t, dim, False, (raw_a, _draw_pom(rng, dim, _pick_dim(rng, outcomes)))))
+        rows = {}
+        for group in _by_dim(draws):
+            rows.update(_objectivity_group(seed, group, tol))
+        records.extend(rows[t] for t in window)
     return records
+
+
+def _objectivity_group(seed: int, group: list[_Draw], tol: float) -> dict[int, ObjectivityTrial]:
+    """The records of one dimension's trials, from stacked passes."""
+    commuting = [d.parts for d in group if d.commuting]
+    generic = [d.parts for d in group if not d.commuting]
+    entries_a, entries_b, counts_a, counts_b = [], [], [], []
+    if commuting:
+        g, weights_a, weights_b = zip(*commuting)
+        a, ca = _diagonal_poms(_unitaries(np.array(g)), weights_a)
+        basis = eig_hermitian(a[np.cumsum(ca) - ca]).eigenvectors  # of each first POM's first effect
+        b, cb = _diagonal_poms(basis, weights_b)
+        entries_a.append(a)
+        entries_b.append(b)
+        counts_a.append(ca)
+        counts_b.append(cb)
+    if generic:
+        raw_a, raw_b = zip(*generic)
+        ca, cb = (np.array([len(r) for r in raws]) for raws in (raw_a, raw_b))
+        both = _whitened(np.concatenate(raw_a + raw_b), np.concatenate([ca, cb]))
+        entries_a.append(both[: ca.sum()])
+        entries_b.append(both[ca.sum() :])
+        counts_a.append(ca)
+        counts_b.append(cb)
+    batch_a = PomBatch(entries=np.concatenate(entries_a), counts=np.concatenate(counts_a))
+    batch_b = PomBatch(entries=np.concatenate(entries_b), counts=np.concatenate(counts_b))
+    validate_poms(batch_a, require_normalized=True)
+    validate_poms(batch_b, require_normalized=True)
+    reports = objectivity_reports(batch_a, batch_b, tol)
+    linked = np.flatnonzero([rep.ops_commute for rep in reports])
+    link_holds = np.ones(len(reports), dtype=bool)
+    if len(linked):
+        cc = causality_reports(batch_a.select(linked), batch_b.select(linked), tol)
+        link_holds[linked] = [not (r.a_disturbs_b or r.b_disturbs_a) for r in cc]
+    return {
+        d.trial: ObjectivityTrial(
+            seed=seed,
+            trial=d.trial,
+            dim=d.dim,
+            kind="commuting" if d.commuting else "generic",
+            ops_commute=rep.ops_commute,
+            effects_commute=rep.effects_commute,
+            agree=rep.agree,
+            max_order_gap=rep.max_order_gap,
+            link_holds=bool(holds),
+        )
+        for d, rep, holds in zip(group, reports, link_holds)
+    }
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,14 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
+def sum_in_order(stack: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a complex array along an axis other than the last, term after
+    term in index order, whatever the shape.  It sums the real and imaginary
+    parts as floats, whose last axis numpy walks innermost; a complex sum
+    walks a (K, 1, 1) stack's K axis innermost and sums it pairwise instead."""
+    return np.ascontiguousarray(stack).view(np.float64).sum(axis=axis).view(complex)
+
+
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")

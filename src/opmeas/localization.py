@@ -151,9 +151,9 @@ def spacelike_separated(d1: SpatialSet, d2: SpatialSet, model: LatticeModel) -> 
     return dist > cone_radius(model, abs(d1.time_slice - d2.time_slice))
 
 
-def cone_radius(model: LatticeModel, dt: int) -> float:
-    """c * tau * dt: sets at time separation dt are spacelike when their
-    distance strictly exceeds it."""
+def cone_radius(model: LatticeModel, dt: float) -> float:
+    """c * tau * dt: sets at time separation dt (in time steps) are spacelike
+    when their distance strictly exceeds it."""
     return model.light_speed * model.time_step * dt
 
 

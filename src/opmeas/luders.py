@@ -14,6 +14,12 @@ checkers:
   the POM's effects.
 * ``objectivity_check`` / ``causality_check_C`` — commutation of selective
   operations for two POMs, and mutual nondisturbance.
+
+Each of the three checks is one stacked kernel over a batch of same-dimension
+POMs (``proposition1_reports``, ``objectivity_reports``, ``causality_reports``),
+which the ensemble drivers call once per dimension group; the public checks
+are their calls on a batch of one.  A kernel gives each row of a batch what
+it gives that row alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .linalg import (
     outer,
     psd_sqrt,
     require_same_dim,
+    sum_in_order,
 )
-from .povm import Pom
+from .povm import Pom, PomBatch
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,11 @@ def heisenberg_dual(instr: LudersInstrument, b: Effect) -> Effect:
 
 
 def _duals(kraus: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_i K_i B K_i for each B of a (M, d, d) stack,
-    from one broadcast product over the (K, d, d) Kraus stack."""
-    k = kraus[:, np.newaxis]
-    return hermitize((k @ effects @ k).sum(axis=0))
+    """Hermitian part of sum_i K_i B K_i for each B of a (..., M, d, d) stack,
+    under the (..., K, d, d) Kraus stack of the same leading shape, from one
+    broadcast product."""
+    k = kraus[..., np.newaxis, :, :]
+    return hermitize(sum_in_order(k @ effects[..., np.newaxis, :, :, :] @ k, axis=-4))
 
 
 def _deviations(evals: np.ndarray) -> np.ndarray:
@@ -141,17 +149,36 @@ def proposition1_verify(pom: Pom, b: Effect, tol: float = TOL_ONE) -> Prop1Repor
     if not pom.normalized:
         raise NotNormalizedError("proposition1_verify requires a normalized POM")
     require_same_dim(b.op, pom.stack[0])
-    max_comm = float(op_norms(b.op @ pom.stack - pom.stack @ b.op).max())
-    commute = max_comm <= tol
-    nd = nondisturbance(LudersInstrument.from_pom(pom), b, tol)
-    return Prop1Report(
-        case="both" if len(pom) == 2 else "alpha",
-        commute=commute,
-        nondisturb=nd.holds,
-        equivalent=commute == nd.holds,
-        max_commutator=max_comm,
-        deviation=nd.deviation,
-    )
+    return proposition1_reports(PomBatch.of(pom.stack), b.op[np.newaxis], tol)[0]
+
+
+def proposition1_reports(batch: PomBatch, bs: np.ndarray, tol: float = TOL_ONE) -> list[Prop1Report]:
+    """``proposition1_verify`` of each normalized POM of a batch with the
+    effect of the same row of a ``(n, d, d)`` stack.
+
+    The commutator norms come from one stacked SVD over the padded stacks
+    (a padding entry's commutator is zero), the Kraus operators from one
+    stacked ``psd_sqrt`` and the deviations ``nondisturbance`` reports from
+    one stacked ``eig_hermitian``.
+    """
+    stacks, b = batch.padded(), bs[:, np.newaxis]
+    n, kmax, d, _ = stacks.shape
+    max_comm = op_norms((b @ stacks - stacks @ b).reshape(-1, d, d)).reshape(n, kmax).max(axis=1)
+    duals = _duals(batch.padded(psd_sqrt(batch.entries)), b)[:, 0]
+    deviation = _deviations(eig_hermitian(duals - bs).eigenvalues)
+    reports = []
+    for k, comm, dev in zip(batch.counts, max_comm.tolist(), deviation.tolist()):
+        reports.append(
+            Prop1Report(
+                case="both" if k == 2 else "alpha",
+                commute=comm <= tol,
+                nondisturb=dev <= tol,
+                equivalent=(comm <= tol) == (dev <= tol),
+                max_commutator=comm,
+                deviation=dev,
+            )
+        )
+    return reports
 
 
 class ObjectivityReport(NamedTuple):
@@ -170,32 +197,61 @@ def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> Objectivi
     equal iff those matrices are (Watrous, The Theory of Quantum
     Information, §2.2).  So ``max_order_gap`` is the largest Frobenius norm
     of their difference over all Kraus pairs; it bounds
-    ||X rho X† - Y rho Y†|| from above on every pure state.  The natural
-    representations of all pairs are formed in blocks of at most
-    ``BLOCK_ENTRIES`` entries (or one pair), so memory stays at what one
-    ``kron`` takes.  Compared against plain pairwise commutativity of the
-    effects, from one ``op_norms`` call over all their commutators.
+    ||X rho X† - Y rho Y†|| from above on every pure state.  Compared
+    against plain pairwise commutativity of the effects.
     """
     if not (pom_a.normalized and pom_b.normalized):
         raise NotNormalizedError("objectivity_check requires normalized POMs")
     require_same_dim(pom_a.stack[0], pom_b.stack[0])
-    d = pom_a.dim
-    ka = LudersInstrument.from_pom(pom_a).kraus[:, np.newaxis]
-    kb = LudersInstrument.from_pom(pom_b).kraus[np.newaxis]
-    ab, ba = (ka @ kb).reshape(-1, d, d), (kb @ ka).reshape(-1, d, d)
+    return objectivity_reports(PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack), tol)[0]
+
+
+def objectivity_reports(batch_a: PomBatch, batch_b: PomBatch, tol: float = TOL_ONE) -> list[ObjectivityReport]:
+    """``objectivity_check`` of the normalized POMs of the same row of two batches.
+
+    The pairs of all rows form one list.  Their natural representations are
+    formed in blocks of at most ``BLOCK_ENTRIES`` entries (or one pair), and
+    the effect commutators' exact norms come from one ``op_norms`` call per
+    block of at most ``BLOCK_ENTRIES`` entries.  A row's values are the
+    maxima over its pairs.
+    """
+    d = batch_a.entries.shape[1]
+    ka, kb = psd_sqrt(batch_a.entries), psd_sqrt(batch_b.entries)
+    ia, ib, starts = _cross_pairs(batch_a, batch_b)
+    gaps, comms = np.empty(len(ia)), np.empty(len(ia))
     step = max(1, BLOCK_ENTRIES // d**4)
-    gap = 0.0
-    for s in range(0, len(ab), step):
-        diff = _natural(ab[s : s + step]) - _natural(ba[s : s + step])
-        gap = max(gap, float(np.linalg.norm(diff, axis=(1, 2)).max()))
-    ops_commute = gap <= tol
-    ea, eb = pom_a.stack[:, np.newaxis], pom_b.stack[np.newaxis]
-    effects_commute = bool(op_norms((ea @ eb - eb @ ea).reshape(-1, d, d)).max() <= tol)
-    return ObjectivityReport(
-        ops_commute=ops_commute,
-        effects_commute=effects_commute,
-        agree=ops_commute == effects_commute,
-        max_order_gap=gap,
+    for s in range(0, len(ia), step):
+        x, y = ka[ia[s : s + step]], kb[ib[s : s + step]]
+        gaps[s : s + step] = np.linalg.norm(_natural(x @ y) - _natural(y @ x), axis=(1, 2))
+    step = max(1, BLOCK_ENTRIES // d**2)
+    for s in range(0, len(ia), step):
+        x, y = batch_a.entries[ia[s : s + step]], batch_b.entries[ib[s : s + step]]
+        comms[s : s + step] = op_norms(x @ y - y @ x)
+    reports = []
+    for gap, comm in zip(np.maximum.reduceat(gaps, starts).tolist(), np.maximum.reduceat(comms, starts).tolist()):
+        reports.append(
+            ObjectivityReport(
+                ops_commute=gap <= tol,
+                effects_commute=comm <= tol,
+                agree=(gap <= tol) == (comm <= tol),
+                max_order_gap=gap,
+            )
+        )
+    return reports
+
+
+def _cross_pairs(batch_a: PomBatch, batch_b: PomBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry indices (ia, ib) of every pair of an entry of a row's POM in
+    batch_a with one of its POM in batch_b, row after row and a's entry
+    before b's, and the index of each row's first pair."""
+    sizes = batch_a.counts * batch_b.counts
+    starts = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(row)) - starts[row]
+    return (
+        batch_a.starts[row] + local // batch_b.counts[row],
+        batch_b.starts[row] + local % batch_b.counts[row],
+        starts,
     )
 
 
@@ -219,21 +275,29 @@ def causality_check_C(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> Causality
     cross-pairs of effects commute.
     """
     require_same_dim(pom_a.stack[0], pom_b.stack[0])
-    a_disturbs = _disturbs(LudersInstrument.from_pom(pom_a), pom_b.stack, tol)
-    b_disturbs = _disturbs(LudersInstrument.from_pom(pom_b), pom_a.stack, tol)
-    return CausalityCReport(a_disturbs_b=a_disturbs, b_disturbs_a=b_disturbs)
+    if not (pom_a.normalized and pom_b.normalized):
+        raise NotNormalizedError("Luders instrument requires a normalized POM")
+    return causality_reports(PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack), tol)[0]
 
 
-def _disturbs(instr: LudersInstrument, effects: np.ndarray, tol: float) -> bool:
-    """Whether some effect of a (M, d, d) stack fails ``nondisturbance``
-    under instr.  The deviations of all effects come from stacked products
-    and one stacked ``eig_hermitian`` per block of at most ``BLOCK_ENTRIES``
-    product entries (or one effect), each equal to ``nondisturbance``'s
-    deviation bit for bit."""
-    step = max(1, BLOCK_ENTRIES // instr.kraus.size)
+def causality_reports(batch_a: PomBatch, batch_b: PomBatch, tol: float = TOL_ONE) -> list[CausalityCReport]:
+    """``causality_check_C`` of the normalized POMs of the same row of two batches."""
+    a_disturbs, b_disturbs = _disturbs(batch_a, batch_b, tol), _disturbs(batch_b, batch_a, tol)
+    return [CausalityCReport(a, b) for a, b in zip(a_disturbs.tolist(), b_disturbs.tolist())]
+
+
+def _disturbs(source: PomBatch, target: PomBatch, tol: float) -> np.ndarray:
+    """Whether some effect of each row's target POM fails ``nondisturbance``
+    under the Luders channel of the row's source POM.  The deviations of all
+    effects come from stacked products and one stacked ``eig_hermitian`` per
+    block of at most ``BLOCK_ENTRIES`` product entries (or one effect), each
+    equal to ``nondisturbance``'s deviation bit for bit."""
+    kraus = source.padded(psd_sqrt(source.entries))
+    owners, effects = target.owners, target.entries
+    holds = np.empty(len(effects), dtype=bool)
+    step = max(1, BLOCK_ENTRIES // kraus[0].size)
     for s in range(0, len(effects), step):
         block = effects[s : s + step]
-        evals = eig_hermitian(_duals(instr.kraus, block) - block).eigenvalues
-        if not (_deviations(evals) <= tol).all():
-            return True
-    return False
+        duals = _duals(kraus[owners[s : s + step]], block[:, np.newaxis])[:, 0]
+        holds[s : s + step] = _deviations(eig_hermitian(duals - block).eigenvalues) <= tol
+    return ~np.logical_and.reduceat(holds, target.starts)

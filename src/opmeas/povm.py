@@ -7,7 +7,9 @@ singleton effects.  Sub-normalized measures (sum strictly below identity)
 are first-class; ``normalized`` records whether the total is the identity.
 
 The effects are held as one read-only ``(K, d, d)`` stack, and validation,
-subset sums and the commutator scan work on it.
+subset sums and the commutator scan work on it.  A ``PomBatch`` holds many
+POMs of one dimension for the stacked passes of the ensemble drivers;
+``validate_poms`` checks a batch, and ``build_pom`` is its one-POM call.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .linalg import (
     frobenius_norms,
     hermitize,
     largest_norm,
-    op_norm,
+    op_norms,
     pair_bounds,
+    sum_in_order,
 )
 
 Outcome = Hashable
@@ -108,31 +111,115 @@ def _stack_pom(
 ) -> Pom:
     """``build_pom`` of a read-only complex ``(K, d, d)`` stack that the
     caller hands over: the POM keeps it without a copy, so nothing else may
-    hold it.
-
-    The entries are screened as one stack (``_screen``); ``validate_effect``
-    runs only on those the screen cannot clear, in index order.
+    hold it.  The checks are ``validate_poms`` on a batch of this one POM.
     """
-    for i in _screen(stack, tol):
-        try:
-            validate_effect(stack[i], tol)
-        except OpmeasError as exc:
-            raise InvalidEffectError(i, exc) from exc
-    eye = np.eye(stack.shape[1], dtype=complex)
-    total = stack.sum(axis=0)
-    slack = eig_hermitian(eye - total).eigenvalues
-    if slack[0] < -tol:
-        raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[0]:.3e}")
-    deficit = op_norm(total - eye)
-    is_normalized = deficit <= TOL_EIG
-    if require_normalized and not is_normalized:
-        raise NotNormalizedError(f"effect sum differs from identity by {deficit:.3e}")
+    normalized = validate_poms(PomBatch.of(stack), require_normalized, tol)[0]
     labels = tuple(range(len(stack))) if outcomes is None else tuple(outcomes)
     if len(labels) != len(stack):
         raise OpmeasError("outcome labels and effects differ in length")
     if len(set(labels)) != len(labels):
         raise OpmeasError("outcome labels must be distinct")
-    return Pom(outcomes=labels, stack=stack, normalized=is_normalized)
+    return Pom(outcomes=labels, stack=stack, normalized=bool(normalized))
+
+
+@dataclass(frozen=True)
+class PomBatch:
+    """POMs of one dimension: the ``(M, d, d)`` stack of their entries, POM
+    after POM, and the number of entries of each.
+
+    ``padded`` lays a stack of one matrix per entry out as
+    ``(n, Kmax, d, d)``, zero past each POM's count.  ``linalg.sum_in_order``
+    of it along axis 1 gives each POM the sum of its own stack bit for bit,
+    since the zeros come after every entry; ``np.add.reduceat`` adds in
+    another order and does not.
+    """
+
+    entries: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, stack: np.ndarray) -> PomBatch:
+        """The batch of one POM's ``(K, d, d)`` stack."""
+        return cls(entries=stack, counts=np.array([len(stack)]))
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Index of each POM's first entry."""
+        return np.cumsum(self.counts) - self.counts
+
+    @property
+    def owners(self) -> np.ndarray:
+        """Index of the POM of each entry."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def padded(self, per_entry: np.ndarray | None = None) -> np.ndarray:
+        """A stack of one matrix per entry (the entries themselves by default)
+        as a zero-padded ``(n, Kmax, d, d)`` array; a view when every POM has
+        Kmax entries."""
+        x = self.entries if per_entry is None else per_entry
+        n, kmax = len(self.counts), int(self.counts.max())
+        if (self.counts == kmax).all():
+            return x.reshape(n, kmax, *x.shape[1:])
+        out = np.zeros((n, kmax, *x.shape[1:]), dtype=x.dtype)
+        out[np.arange(kmax) < self.counts[:, np.newaxis]] = x
+        return out
+
+    def select(self, rows: np.ndarray) -> PomBatch:
+        """The batch of the POMs at ascending indices rows."""
+        keep = np.zeros(len(self.counts), dtype=bool)
+        keep[rows] = True
+        return PomBatch(entries=self.entries[np.repeat(keep, self.counts)], counts=self.counts[keep])
+
+
+def validate_poms(batch: PomBatch, require_normalized: bool, tol: float = TOL_PSD) -> np.ndarray:
+    """``build_pom``'s checks on every POM of a batch; returns the POMs'
+    ``normalized`` flags.
+
+    The first POM that fails raises what ``build_pom`` raises on it:
+    ``InvalidEffectError`` with the index of its first invalid entry, else
+    ``SumExceedsIdentityError`` when its sum exceeds the identity by more
+    than tol, else, with ``require_normalized``, ``NotNormalizedError`` when
+    the sum is off the identity by more than TOL_EIG.  The entries of all
+    POMs are screened as one stack (``_first_invalid``), and the spectra and
+    deficits of the sums come from one stacked call each.
+    """
+    bad = _first_invalid(batch.entries, tol)
+    checked = len(batch.counts) if bad is None else batch.owners[bad[0]]
+    eye = np.eye(batch.entries.shape[1], dtype=complex)
+    totals = sum_in_order(batch.padded()[:checked], axis=1)
+    slack = eig_hermitian(eye - totals).eigenvalues[:, 0]
+    deficit = op_norms(totals - eye)
+    normalized = deficit <= TOL_EIG
+    failed = np.flatnonzero((slack < -tol) | (require_normalized & ~normalized))
+    if len(failed):
+        j = failed[0]
+        if slack[j] < -tol:
+            raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[j]:.3e}")
+        raise NotNormalizedError(f"effect sum differs from identity by {deficit[j]:.3e}")
+    if bad is not None:
+        i, exc = bad
+        raise InvalidEffectError(int(i - batch.starts[checked]), exc) from exc
+    return normalized
+
+
+def validate_effects(stack: np.ndarray, tol: float = TOL_PSD) -> None:
+    """``validate_effect`` on every matrix of a ``(M, d, d)`` stack: raises what
+    it raises on the first invalid one."""
+    bad = _first_invalid(stack, tol)
+    if bad is not None:
+        raise bad[1]
+
+
+def _first_invalid(stack: np.ndarray, tol: float) -> tuple[int, OpmeasError] | None:
+    """The first entry of a ``(M, d, d)`` stack that ``validate_effect``
+    rejects, with its error, or None.  ``validate_effect`` runs only on the
+    entries that ``_screen`` cannot clear, in index order."""
+    for i in _screen(stack, tol):
+        try:
+            validate_effect(stack[i], tol)
+        except OpmeasError as exc:
+            return int(i), exc
+    return None
 
 
 def _as_stack(ops) -> np.ndarray | None:

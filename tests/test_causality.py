@@ -105,6 +105,24 @@ def test_leakage_hopping_matches_bessel_sum():
         assert leak > 0.0
 
 
+def test_leakage_reads_the_time_step():
+    # at tau = 0.5 the state evolves for tau * t and the window grows by
+    # floor(c * tau * t), so the series at t is the tau = 1 series at t / 2
+    half = sharp_position_map(make_model(32, time_step=0.5))
+    phi = np.zeros(32)
+    phi[0] = 1.0
+    times = [0.0, 1.0, 2.0, 3.0, 4.0, 8.0]
+    series = leakage_scan(half, phi, SpatialSet({0}), times)
+    unit = leakage_scan(hopping_map(32), phi, SpatialSet({0}), [t / 2 for t in times])
+    np.testing.assert_allclose(series.leakage, unit.leakage, rtol=0, atol=1e-12)
+    for t, leak in zip(times, series.leakage):
+        s = t / 2
+        inside = jv(0, s) ** 2 + 2 * sum(jv(d, s) ** 2 for d in range(1, int(np.floor(s + 1e-9)) + 1))
+        assert leak == pytest.approx(1.0 - inside, abs=1e-8)
+    # t = 2: the window is {31, 0, 1}, not {30, ..., 2}, which would leave about 7e-4
+    assert series.leakage[2] > 0.02
+
+
 def test_leakage_bounded_and_warns_on_delocalized_state():
     lmap = hopping_map(16)
     phi = np.full(16, 0.25)  # spread out, p0 = 1/16
@@ -154,6 +172,22 @@ def test_chain_hopping_first_link_breaks():
     assert rep.premise_holds and not rep.chain_holds
     r1, r2, r3 = rep.residuals
     assert r1 > 0.1 and r2 <= 1e-10 and r3 <= 1e-10
+
+
+def test_chain_reads_the_time_step():
+    # at tau = 0.5 and t = 2 the inflated set is {31, 0, 1}: the chain is the
+    # tau = 1 chain at t = 1, and {2} on slice 2 is spacelike to it
+    half, unit = sharp_position_map(make_model(32, time_step=0.5)), hopping_map(32)
+    rep = strong_causality_chain(half, SpatialSet({0}), SpatialSet({16}), t=2.0)
+    want = strong_causality_chain(unit, SpatialSet({0}), SpatialSet({16}), t=1.0)
+    assert rep.premise_holds and not rep.chain_holds
+    np.testing.assert_allclose(rep.residuals, want.residuals, rtol=0, atol=1e-12)
+    assert rep.residuals[0] > 0.1
+    static = sharp_position_map(make_model(32, hamiltonian=zero_hamiltonian(32), time_step=0.5))
+    rep = strong_causality_chain(static, SpatialSet({0}), SpatialSet({2}, time_slice=2), t=2.0)
+    assert rep.premise_holds and rep.chain_holds and max(rep.residuals) <= 1e-12
+    with pytest.raises(GeometryError):
+        strong_causality_chain(static, SpatialSet({0}), SpatialSet({1}, time_slice=2), t=2.0)
 
 
 def test_chain_vacuous_for_strongly_unsharp_map():

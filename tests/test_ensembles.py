@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    random_commuting_pom_and_effect_loop,
+    random_effect_loop,
+    random_pom_loop,
+    run_objectivity_trials_loop,
+    run_prop1_trials_loop,
+)
+from opmeas import ensembles
+from opmeas.cli import main
 from opmeas.effects import Effect, is_sharp
 from opmeas.ensembles import (
+    random_commuting_pom_and_effect,
     random_effect,
     random_orthogonal_support_pair,
     random_overlapping_pair,
@@ -19,8 +34,9 @@ from opmeas.ensembles import (
     run_sharpness_trials,
     trial_rng,
 )
+from opmeas.errors import OpmeasError
 from opmeas.linalg import op_norm
-from opmeas.povm import is_sharp_pom
+from opmeas.povm import PomBatch, build_pom, is_sharp_pom, validate_poms
 
 
 def test_trial_rng_streams_are_independent_of_trial_count():
@@ -112,3 +128,127 @@ def test_sharpness_driver_sharp_means_projection():
     for m in pom.stack:
         assert is_sharp(Effect(op=m))
         assert op_norm(m @ m - m) < 1e-12
+
+
+def _bits(records) -> list[tuple]:
+    """Records as tuples whose floats are spelled bit for bit."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(r)) for r in records]
+
+
+_LOOP_CASES = [
+    (seed, 30, dims, outcomes, tol)
+    for seed, dims, outcomes, tol in itertools.product(
+        (0, 7, 12345), ((1, 1), (2, 6), (5, 8)), ((2, 2), (2, 5)), (1e-8, 0.5)
+    )
+] + [(7, 180, (5, 8), (2, 5), 0.5)]
+
+
+@pytest.mark.parametrize("seed, trials, dims, outcomes, tol", _LOOP_CASES)
+def test_stacked_drivers_match_the_per_trial_loops(seed, trials, dims, outcomes, tol):
+    """Both drivers return the records of the per-trial loops, floats bit for
+    bit: a trial's record does not depend on the window or the dimension
+    group it is computed in.  At tol 0.5 generic trials reach the
+    ``causality_check_C`` link too; the last case spans two windows of each
+    driver."""
+    prop1 = run_prop1_trials(seed, trials, dims, outcomes, tol)
+    assert _bits(prop1) == _bits(run_prop1_trials_loop(seed, trials, dims, outcomes, tol))
+    objectivity = run_objectivity_trials(seed, trials, dims, outcomes, tol)
+    assert _bits(objectivity) == _bits(run_objectivity_trials_loop(seed, trials, dims, outcomes, tol))
+    if trials > 100:
+        assert len(ensembles._windows(trials, dims, outcomes[1] + 1)) == 2
+        assert len(ensembles._windows(trials, dims, 2 * outcomes[1])) == 2
+        assert any(r.ops_commute and r.kind == "generic" for r in objectivity)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_generators_match_the_per_matrix_references(dim):
+    """The public generators, one-instance calls of the stacked constructions,
+    give the per-matrix references' operators bit for bit and leave the
+    stream where they leave it."""
+    for trial in range(10):
+        rngs = trial_rng(11, trial), trial_rng(11, trial)
+        pairs = [
+            (random_pom(rngs[0], dim, 2 + trial % 4).stack, random_pom_loop(rngs[1], dim, 2 + trial % 4).stack),
+            (random_effect(rngs[0], dim).op, random_effect_loop(rngs[1], dim).op),
+        ]
+        (pom, b), (pom_ref, b_ref) = (
+            random_commuting_pom_and_effect(rngs[0], dim, 2 + trial % 3),
+            random_commuting_pom_and_effect_loop(rngs[1], dim, 2 + trial % 3),
+        )
+        pairs += [(pom.stack, pom_ref.stack), (b.op, b_ref.op)]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+        assert rngs[0].uniform() == rngs[1].uniform()
+
+
+def _generated_batch(seed: int, dim: int, n_poms: int) -> PomBatch:
+    """POMs of one dimension from the drivers' constructions, commuting and
+    generic alternately, two to four outcomes each."""
+    rng = trial_rng(seed, 0)
+    counts = rng.integers(2, 5, size=n_poms)
+    stacks = []
+    for j, k in enumerate(counts):
+        if j % 2:
+            g, weights, _ = ensembles._draw_commuting(rng, dim, k)
+            u = ensembles._unitaries(g[np.newaxis])
+            stacks.append(ensembles._diagonal_in(np.repeat(u, k, axis=0), weights.T))
+        else:
+            stacks.append(ensembles._whitened(ensembles._draw_pom(rng, dim, k), np.array([k])))
+    return PomBatch(entries=np.concatenate(stacks), counts=counts)
+
+
+def _raised(call) -> tuple:
+    try:
+        call()
+    except OpmeasError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+    return ()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 6),
+    n_poms=st.integers(1, 6),
+    fault=st.sampled_from(["below zero", "not hermitian", "sum above identity"]),
+    where=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_validator_raises_what_build_pom_raises(seed, dim, n_poms, fault, where):
+    """The drivers' POMs pass the public ``build_pom``.  With one entry of one
+    POM corrupted, ``validate_poms`` on the batch raises the exception type,
+    index and message that ``build_pom`` raises on that POM."""
+    batch = _generated_batch(seed, dim, n_poms)
+    stacks = np.split(batch.entries, batch.starts[1:])
+    assert all(build_pom(s, require_normalized=True).normalized for s in stacks)
+    assert validate_poms(batch, require_normalized=True).all()
+    j = where % n_poms
+    i = (where // n_poms) % batch.counts[j]
+    entry = stacks[j][i]
+    eye = np.eye(dim)
+    if fault == "below zero":
+        entry -= (np.linalg.eigvalsh(entry)[0] + 1e-3) * eye
+    elif fault == "not hermitian":
+        entry[0, -1] += 1e-3
+    else:  # a valid effect whose POM sums to I + (I - E) / 2
+        entry += (eye - entry) / 2
+    corrupted = PomBatch(entries=np.concatenate(stacks), counts=batch.counts)
+    want = _raised(lambda: build_pom(stacks[j], require_normalized=True))
+    assert want and want == _raised(lambda: validate_poms(corrupted, require_normalized=True))
+
+
+def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
+    """``luders-verify`` over 200 trials of dimension 2..6 makes at most 200
+    LAPACK calls (a per-trial pass made 4,540), a count that does not depend
+    on the machine."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert main(["luders-verify", "--seed", "7", "--trials", "200", "--dims", "2..6"]) == 0
+    assert "counterexamples: 0" in capsys.readouterr().out
+    assert 0 < len(calls) <= 200, {name: calls.count(name) for name in set(calls)}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import objectivity_pairs
 from opmeas.effects import Effect, validate_effect
 from opmeas import ensembles, luders
 from opmeas.ensembles import (
@@ -301,7 +302,7 @@ def _reference_order_gap(pom_a, pom_b) -> float:
     return gap
 
 
-def test_objectivity_gap_against_spanning_state_loop(monkeypatch):
+def test_objectivity_gap_against_spanning_state_loop():
     """On the criterion-03 draws the natural-representation gap gives the
     loop's verdict and bounds the loop's gap from above.
 
@@ -311,14 +312,8 @@ def test_objectivity_gap_against_spanning_state_loop(monkeypatch):
     """
     tol = 1e-8
     rounding = 64 * np.finfo(float).eps
-    pairs = []
-
-    def recording_check(pom_a, pom_b, tol):
-        pairs.append((pom_a, pom_b))
-        return objectivity_check(pom_a, pom_b, tol)
-
-    monkeypatch.setattr(ensembles, "objectivity_check", recording_check)
     records = ensembles.run_objectivity_trials(seed=303, trials=200, dims=(2, 6), tol=tol)
+    pairs = [(a, b) for _, _, a, b in objectivity_pairs(303, 200, (2, 6), (2, 4))]
     assert len(pairs) == len(records) == 200
     for record, (pom_a, pom_b) in zip(records, pairs):
         old_gap = _reference_order_gap(pom_a, pom_b)
@@ -342,19 +337,13 @@ def _kron_order_gap(pom_a, pom_b) -> tuple[float, float]:
 
 
 @pytest.mark.parametrize("seed", [0, 42, 303])
-def test_objectivity_gap_matches_the_kron_loop(monkeypatch, seed):
+def test_objectivity_gap_matches_the_kron_loop(seed):
     """The stacked gap is the kron loop's up to the order of the norm's sum:
     within 1e-15 relative (or 1e-30 absolute, for a gap of rounding noise),
     and every verdict over 200 trials is the loop's."""
     tol = 1e-8
-    pairs = []
-
-    def recording_check(pom_a, pom_b, tol):
-        pairs.append((pom_a, pom_b))
-        return objectivity_check(pom_a, pom_b, tol)
-
-    monkeypatch.setattr(ensembles, "objectivity_check", recording_check)
     records = ensembles.run_objectivity_trials(seed=seed, trials=200, dims=(2, 6), tol=tol)
+    pairs = [(a, b) for _, _, a, b in objectivity_pairs(seed, 200, (2, 6), (2, 4))]
     assert len(pairs) == len(records) == 200
     for record, (pom_a, pom_b) in zip(records, pairs):
         gap, max_eff = _kron_order_gap(pom_a, pom_b)
