@@ -18,14 +18,19 @@ copies at the benchmark's run length: ``PAIRS`` pairs with ``--trace 0``
 run per side at seed 1.  The file keeps every run, per side the median and
 quartiles of each end-to-end metric and the traced per-layer metrics, and
 per workload how many pairs each side won on each end-to-end metric (ties
-count for neither side).
+count for neither side).  It also records the run environment that moves
+``setup_s`` and ``peak_rss_mib``, so that two trajectory files can be
+compared: the bytecode-cache and BLAS-thread variables as this script sees
+them, the Python and numpy versions and the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -74,6 +79,18 @@ def pairs_won(metrics: list[dict], parent: list[dict], change: list[dict]) -> di
     return won
 
 
+def environment() -> dict:
+    """The settings that move set-up time and resident memory on every workload."""
+    names = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return {
+        **{name: os.environ.get(name) for name in names},
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+    }
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -81,7 +98,7 @@ def main() -> int:
     args = p.parse_args()
     with open("BENCHMARK.json") as fh:
         config = json.load(fh)
-    result = {"run_seconds": config["run_seconds"], "pairs": PAIRS, "workloads": {}}
+    result = {"run_seconds": config["run_seconds"], "pairs": PAIRS, "environment": environment(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as top:
         sides = {side: snapshot(root, os.path.join(top, side))
                  for side, root in (("parent", args.parent), ("change", os.getcwd()))}

@@ -32,10 +32,10 @@ import warnings
 import numpy as np
 
 from .causality import builtin_model_family, leakage_scan, schlieder_scan, singleton_conditions
-from .effects import TOL_ONE, is_sharp, is_strongly_unsharp, spectral_projection
+from .effects import TOL_ONE, Projection, endpoint_projection, is_sharp
 from .ensembles import run_objectivity_trials, run_prop1_trials
 from .errors import OpmeasError
-from .linalg import eig_hermitian
+from .linalg import MAX_DIM, eig_hermitian
 from .localization import SpatialSet, phase_space_commutativity
 from .luders import proposition1_verify
 from .povm import is_commutative
@@ -60,6 +60,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise OpmeasError(f"--dims wants the form A..B, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise OpmeasError(f"--dims range {text!r} is empty or invalid")
+    if hi > MAX_DIM:
+        raise OpmeasError(f"--dims range {text!r} exceeds the largest supported dimension, {MAX_DIM}")
     return lo, hi
 
 
@@ -105,12 +107,12 @@ def cmd_effect_check(cfg: argparse.Namespace) -> int:
     if cfg.effect_path is None:
         raise OpmeasError("effect-check needs --effect FILE")
     e = effect_from_json(load_json(cfg.effect_path))
-    evals = [float(v) for v in eig_hermitian(e.op).eigenvalues]
-    rank1 = spectral_projection(e, "one", cfg.tol).rank
-    rank0 = spectral_projection(e, "zero", cfg.tol).rank
+    eig = eig_hermitian(e.op)
+    evals = [float(v) for v in eig.eigenvalues]
+    rank1, rank0 = (Projection(op=endpoint_projection(eig, which, cfg.tol)).rank for which in ("one", "zero"))
     if is_sharp(e, cfg.tol):
         label = "sharp"
-    elif is_strongly_unsharp(e, cfg.tol):
+    elif rank1 == 0:  # strongly unsharp: no eigenvalue within tol of 1
         label = "strongly unsharp"
     else:
         label = "unsharp"
@@ -263,37 +265,31 @@ def _scan_rows(report) -> list[list]:
 
 def cmd_causality_scan(cfg: argparse.Namespace) -> int:
     findings: list[str] = []
-    rows: list[list] = []
+    all_rows: list[list] = []
     verdicts = {}
-    leak_rows: list[list] = []
-
     if cfg.model is not None:
         model_cfg = model_config_from_json(load_json(cfg.model))
-        lmap = build_construction(model_cfg)
-        n = lmap.model.n_sites
-        horizon = _default_horizon(cfg.t_max, n, lmap.model)
-        report = schlieder_scan(lmap, horizon, cfg.tol, label=model_cfg.construction)
-        rows += _scan_rows(report)
+        maps = [(model_cfg.construction, build_construction(model_cfg))]
+    else:
+        maps = builtin_model_family()
+    for label, lmap in maps:
+        horizon = _default_horizon(cfg.t_max, lmap.model.n_sites, lmap.model)
+        report = schlieder_scan(lmap, horizon, cfg.tol, label=label)
+        all_rows += _scan_rows(report)
         findings += list(report.findings)
-        verdicts[report.label] = report.verdict
-        phi = np.zeros(n, dtype=complex)
+        verdicts[label] = report.verdict
+
+    if cfg.model is not None:  # the leakage series of the one map's site-0 state
+        phi = np.zeros(lmap.model.n_sites, dtype=complex)
         phi[0] = 1.0
         times = [0.5 * k for k in range(0, 2 * horizon + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # smeared baselines warn by design
             series = leakage_scan(lmap, phi, SpatialSet({0}), times)
         for t, leak in zip(series.times, series.leakage):
-            leak_rows.append([report.label, "leakage", f"t={float(t)!r}", float(leak), "", ""])
-    else:
-        for label, lmap in builtin_model_family():
-            horizon = _default_horizon(cfg.t_max, lmap.model.n_sites, lmap.model)
-            report = schlieder_scan(lmap, horizon, cfg.tol, label=label)
-            rows += _scan_rows(report)
-            findings += list(report.findings)
-            verdicts[label] = report.verdict
+            all_rows.append([label, "leakage", f"t={float(t)!r}", float(leak), "", ""])
 
     header = ["label", "section", "item", "value", "holds", "detail"]
-    all_rows = rows + leak_rows
     if cfg.fmt == "csv":
         text = _csv_text(header, all_rows)
     elif cfg.fmt == "json":
@@ -327,8 +323,9 @@ def cmd_causality_scan(cfg: argparse.Namespace) -> int:
 def _default_horizon(t_max: int | None, n: int, model) -> int:
     if t_max is not None:
         return t_max
-    limit = n / (2.0 * model.light_speed * model.time_step)
-    return max(1, min(4, int(limit) - 1))
+    reach = 2.0 * model.light_speed * model.time_step
+    limit = n / reach if reach > 0 else math.inf  # c·τ can underflow to zero
+    return max(1, min(4, int(min(limit, 5.0)) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotHermitianError, SpectrumOutOfRangeError
-from .linalg import TOL_HERM, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian, op_norm
+from .linalg import TOL_HERM, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian, hermitize, op_norm, spectral_map
 
 # Clustering tolerance for "eigenvalue equal to 1" / "equal to 0".  Looser
 # than TOL_EIG on purpose: the physically meaningful question is proximity
@@ -98,21 +98,14 @@ def endpoint_projection(
     one effect or of each effect of a stack, so one decomposition serves both
     endpoints."""
     target = 1.0 if which == "one" else 0.0
-    return _span(eig, np.abs(eig.eigenvalues - target) <= tol)
+    return hermitize(spectral_map(eig.eigenvectors, np.abs(eig.eigenvalues - target) <= tol))
 
 
 def range_projection(e: Effect, tol: float = TOL_ONE) -> Projection:
     """Projection onto the closure of the range: span of eigenvectors with
     eigenvalue above tol.  Coincides with I minus the eigenvalue-0 projection."""
     eig = eig_hermitian(e.op)
-    return Projection(op=_span(eig, eig.eigenvalues > tol))
-
-
-def _span(eig: HermitianEigen, mask: np.ndarray) -> np.ndarray:
-    """Projection onto the eigenvectors that mask selects, (V mask) V†, of one
-    decomposition or of each of a stack; zero when it selects none."""
-    v = eig.eigenvectors
-    return linalg.hermitize((v * mask[..., np.newaxis, :]) @ linalg.dagger(v))
+    return Projection(op=hermitize(spectral_map(eig.eigenvectors, eig.eigenvalues > tol)))
 
 
 def is_sharp(e: Effect, tol: float = TOL_ONE) -> bool:

@@ -12,12 +12,13 @@ instances of one dimension.  ``random_pom``, ``random_effect`` and
 ``random_commuting_pom_and_effect`` are a draw followed by a construction
 of one instance.
 
-``run_prop1_trials`` and ``run_objectivity_trials`` work in windows of
-trials, each window's draws holding at most ``BLOCK_ENTRIES`` entries.  They
-first draw every trial of a window.  Then, for each dimension, they run the
-constructions, the validation (``povm.validate_poms``) and the checks
-(``luders.*_reports``) of that dimension's trials as stacked passes, a few
-LAPACK calls per group instead of a few per trial.  Every stacked kernel
+``run_prop1_trials`` and ``run_objectivity_trials`` share one loop
+(``_run_trials``) over windows of trials, each window's draws holding at
+most ``BLOCK_ENTRIES`` entries.  It first draws every trial of a window.
+Then, for each dimension, it runs the constructions, the validation
+(``povm.validate_poms``) and the checks (``luders.*_reports``) of that
+dimension's trials as stacked passes, a few LAPACK calls per group instead
+of a few per trial.  Every stacked kernel
 gives each instance what it gives that instance alone, bit for bit, so a
 trial's record does not depend on which window or group it lands in.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from .effects import (
     validate_effect,
 )
 from .errors import OpmeasError
-from .linalg import BLOCK_ENTRIES, dagger, eig_hermitian, hermitize, op_norm, sum_in_order
-from .luders import causality_reports, objectivity_reports, proposition1_reports
+from .linalg import BLOCK_ENTRIES, dagger, eig_hermitian, hermitize, op_norm, spectral_map, sum_in_order
+from .luders import causality_reports, kraus_batch, objectivity_reports, proposition1_reports
 from .povm import Pom, PomBatch, _stack_pom, build_pom, validate_effects, validate_poms
 
 _MARGIN = 1e-6
@@ -70,26 +71,13 @@ def _unitaries(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """The complex diagonal matrix of each row of a (M, d) array."""
-    m, d = values.shape
-    out = np.zeros((m, d, d), dtype=complex)
-    out[:, np.arange(d), np.arange(d)] = values
-    return out
-
-
-def _diagonal_in(u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hermitian part of U diag(v) U† for each U of a (M, d, d) stack and the
-    row v of a (M, d) array."""
-    return hermitize(u @ _diag(values) @ dagger(u))
-
-
 def _diagonal_poms(bases: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """The entries and counts of the POMs diagonal in each basis of a stack,
     with the (d, K) outcome weights of the same row: effect i of a POM is
-    ``_diagonal_in`` of its basis and weight column i."""
+    the Hermitian part of ``spectral_map`` of its basis and weight column i."""
     counts = np.array([w.shape[1] for w in weights])
-    return _diagonal_in(np.repeat(bases, counts, axis=0), np.concatenate([w.T for w in weights])), counts
+    entries = spectral_map(np.repeat(bases, counts, axis=0), np.concatenate([w.T for w in weights]))
+    return hermitize(entries), counts
 
 
 def _draw_effect(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
@@ -122,8 +110,7 @@ def _whitened(raw: np.ndarray, counts: np.ndarray) -> np.ndarray:
     PSD squares G†G, whitened by the inverse root of their POM's sum."""
     batch = PomBatch(entries=hermitize(dagger(raw) @ raw), counts=counts)
     eig = eig_hermitian(sum_in_order(batch.padded(), axis=1))
-    v = eig.eigenvectors
-    w = (v @ _diag(1.0 / np.sqrt(eig.eigenvalues)) @ dagger(v))[batch.owners]
+    w = spectral_map(eig.eigenvectors, 1.0 / np.sqrt(eig.eigenvalues))[batch.owners]
     return hermitize(w @ batch.entries @ w)
 
 
@@ -156,7 +143,7 @@ def random_commuting_pom_and_effect(
     stack, _ = _diagonal_poms(u, [weights])
     stack.setflags(write=False)
     pom = _stack_pom(stack, require_normalized=True)
-    b = _diagonal_in(u, spectrum[np.newaxis])
+    b = hermitize(spectral_map(u, spectrum[np.newaxis]))
     validate_effects(b)
     return pom, Effect(op=b[0])
 
@@ -168,8 +155,8 @@ def random_orthogonal_support_pair(rng: np.random.Generator, dim: int) -> tuple[
     u = random_unitary(rng, dim)
     k = int(rng.integers(1, dim))
     va, vb = u[:, :k], u[:, k:]
-    a = hermitize(va @ np.diag(rng.uniform(0.1, 1.0, size=k).astype(complex)) @ va.conj().T)
-    b = hermitize(vb @ np.diag(rng.uniform(0.1, 1.0, size=dim - k).astype(complex)) @ vb.conj().T)
+    a = hermitize(spectral_map(va, rng.uniform(0.1, 1.0, size=k)))
+    b = hermitize(spectral_map(vb, rng.uniform(0.1, 1.0, size=dim - k)))
     return validate_effect(a), validate_effect(b)
 
 
@@ -230,14 +217,33 @@ class _Draw(NamedTuple):
 
     trial: int
     dim: int
-    commuting: bool
+    kind: str  # "commuting" | "generic"
     parts: tuple
 
 
-def _by_dim(draws: list[_Draw]) -> list[list[_Draw]]:
-    """The draws grouped by dimension, commuting trials first in each group."""
-    ordered = sorted(draws, key=lambda d: (d.dim, not d.commuting))
-    return [list(group) for _, group in itertools.groupby(ordered, key=lambda d: d.dim)]
+def _run_trials(
+    seed: int,
+    trials: int,
+    dims: tuple[int, int],
+    draws_per_trial: int,
+    draw: Callable[[np.random.Generator, int], tuple[str, tuple]],
+    records_of: Callable[[list[_Draw]], list],
+) -> list:
+    """The drivers' one loop.  For each window of trials, it draws every
+    trial, its dimension first and then ``draw(rng, dim)``'s (kind, parts);
+    then it takes ``records_of`` each dimension's draws, commuting trials
+    first.  Returns the records in trial order."""
+    records = []
+    for window in _windows(trials, dims, draws_per_trial):
+        draws = []
+        for t in window:
+            rng = trial_rng(seed, t)
+            dim = _pick_dim(rng, dims)
+            draws.append(_Draw(t, dim, *draw(rng, dim)))
+        draws.sort(key=lambda d: (d.dim, d.kind != "commuting"))
+        for _, same_dim in itertools.groupby(draws, key=lambda d: d.dim):
+            records += records_of(list(same_dim))
+    return sorted(records, key=lambda r: r.trial)
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,7 @@ class Prop1Trial:
     trial: int
     dim: int
     outcomes: int
-    kind: str  # "commuting" | "generic"
+    kind: str  # "commuting" | "generic"; the fields below are Prop1Report's, in order
     case: str
     commute: bool
     nondisturb: bool
@@ -268,63 +274,35 @@ def run_prop1_trials(
     pair so the equivalence is exercised on both branches, not just the
     generic noncommuting one.
     """
-    records: list[Prop1Trial] = []
-    for window in _windows(trials, dims, outcomes[1] + 1):
-        draws = []
-        for t in window:
-            rng = trial_rng(seed, t)
-            dim = _pick_dim(rng, dims)
-            n_out = _pick_dim(rng, outcomes)
-            if rng.uniform() < 1.0 / 3.0:
-                draws.append(_Draw(t, dim, True, _draw_commuting(rng, dim, n_out)))
-            else:
-                draws.append(_Draw(t, dim, False, (_draw_pom(rng, dim, n_out), *_draw_effect(rng, dim))))
-        rows = {}
-        for group in _by_dim(draws):
-            rows.update(_prop1_group(seed, group, tol))
-        records.extend(rows[t] for t in window)
-    return records
+
+    def draw(rng: np.random.Generator, dim: int) -> tuple[str, tuple]:
+        n_out = _pick_dim(rng, outcomes)
+        if rng.uniform() < 1.0 / 3.0:
+            return "commuting", _draw_commuting(rng, dim, n_out)
+        return "generic", (_draw_pom(rng, dim, n_out), *_draw_effect(rng, dim))
+
+    return _run_trials(seed, trials, dims, outcomes[1] + 1, draw, lambda group: _prop1_group(seed, group, tol))
 
 
-def _prop1_group(seed: int, group: list[_Draw], tol: float) -> dict[int, Prop1Trial]:
+def _prop1_group(seed: int, group: list[_Draw], tol: float) -> list[Prop1Trial]:
     """The records of one dimension's trials, from stacked passes."""
-    commuting = [d.parts for d in group if d.commuting]
-    generic = [d.parts for d in group if not d.commuting]
-    entries, counts, bs = [], [], []
+    commuting = [d.parts for d in group if d.kind == "commuting"]
+    generic = [d.parts for d in group if d.kind == "generic"]
+    parts = []  # (entries, counts, effects) of each kind, concatenated below
     if commuting:
         g, weights, spectra = zip(*commuting)
         u = _unitaries(np.array(g))
-        e, k = _diagonal_poms(u, weights)
-        entries.append(e)
-        counts.append(k)
-        bs.append(_diagonal_in(u, np.array(spectra)))
+        parts.append((*_diagonal_poms(u, weights), hermitize(spectral_map(u, np.array(spectra)))))
     if generic:
         raw, g, tops = zip(*generic)
-        counts.append(np.array([len(r) for r in raw]))
-        entries.append(_whitened(np.concatenate(raw), counts[-1]))
-        bs.append(_scaled(np.array(g), np.array(tops)))
-    counts = np.concatenate(counts)
-    batch = PomBatch(entries=np.concatenate(entries), counts=counts)
+        counts = np.array([len(r) for r in raw])
+        parts.append((_whitened(np.concatenate(raw), counts), counts, _scaled(np.array(g), np.array(tops))))
+    entries, counts, bs = (np.concatenate(x) for x in zip(*parts))
+    batch = PomBatch(entries=entries, counts=counts)
     validate_poms(batch, require_normalized=True)
-    bs = np.concatenate(bs)
     validate_effects(bs)
     reports = proposition1_reports(batch, bs, tol)
-    return {
-        d.trial: Prop1Trial(
-            seed=seed,
-            trial=d.trial,
-            dim=d.dim,
-            outcomes=int(k),
-            kind="commuting" if d.commuting else "generic",
-            case=rep.case,
-            commute=rep.commute,
-            nondisturb=rep.nondisturb,
-            equivalent=rep.equivalent,
-            max_commutator=rep.max_commutator,
-            deviation=rep.deviation,
-        )
-        for d, k, rep in zip(group, counts, reports)
-    }
+    return [Prop1Trial(seed, d.trial, d.dim, int(k), d.kind, *rep) for d, k, rep in zip(group, counts, reports)]
 
 
 @dataclass(frozen=True)
@@ -332,7 +310,7 @@ class ObjectivityTrial:
     seed: int
     trial: int
     dim: int
-    kind: str
+    kind: str  # the four fields below are ObjectivityReport's, in order
     ops_commute: bool
     effects_commute: bool
     agree: bool
@@ -354,72 +332,47 @@ def run_objectivity_trials(
     commuting trial's second POM is diagonal in the eigenbasis of the first
     POM's first effect.
     """
-    records: list[ObjectivityTrial] = []
-    for window in _windows(trials, dims, 2 * outcomes[1]):
-        draws = []
-        for t in window:
-            rng = trial_rng(seed, t)
-            dim = _pick_dim(rng, dims)
-            if rng.uniform() < 1.0 / 3.0:
-                g, weights_a, _ = _draw_commuting(rng, dim, _pick_dim(rng, outcomes))  # no effect is formed
-                weights_b = rng.dirichlet(np.ones(_pick_dim(rng, outcomes)), size=dim)
-                draws.append(_Draw(t, dim, True, (g, weights_a, weights_b)))
-            else:
-                raw_a = _draw_pom(rng, dim, _pick_dim(rng, outcomes))
-                draws.append(_Draw(t, dim, False, (raw_a, _draw_pom(rng, dim, _pick_dim(rng, outcomes)))))
-        rows = {}
-        for group in _by_dim(draws):
-            rows.update(_objectivity_group(seed, group, tol))
-        records.extend(rows[t] for t in window)
-    return records
+
+    def draw(rng: np.random.Generator, dim: int) -> tuple[str, tuple]:
+        if rng.uniform() < 1.0 / 3.0:
+            g, weights_a, _ = _draw_commuting(rng, dim, _pick_dim(rng, outcomes))  # no effect is formed
+            return "commuting", (g, weights_a, rng.dirichlet(np.ones(_pick_dim(rng, outcomes)), size=dim))
+        raw_a = _draw_pom(rng, dim, _pick_dim(rng, outcomes))
+        return "generic", (raw_a, _draw_pom(rng, dim, _pick_dim(rng, outcomes)))
+
+    return _run_trials(seed, trials, dims, 2 * outcomes[1], draw, lambda group: _objectivity_group(seed, group, tol))
 
 
-def _objectivity_group(seed: int, group: list[_Draw], tol: float) -> dict[int, ObjectivityTrial]:
+def _objectivity_group(seed: int, group: list[_Draw], tol: float) -> list[ObjectivityTrial]:
     """The records of one dimension's trials, from stacked passes."""
-    commuting = [d.parts for d in group if d.commuting]
-    generic = [d.parts for d in group if not d.commuting]
-    entries_a, entries_b, counts_a, counts_b = [], [], [], []
+    commuting = [d.parts for d in group if d.kind == "commuting"]
+    generic = [d.parts for d in group if d.kind == "generic"]
+    parts = []  # (entries_a, counts_a, entries_b, counts_b) of each kind, concatenated below
     if commuting:
         g, weights_a, weights_b = zip(*commuting)
         a, ca = _diagonal_poms(_unitaries(np.array(g)), weights_a)
         basis = eig_hermitian(a[np.cumsum(ca) - ca]).eigenvectors  # of each first POM's first effect
-        b, cb = _diagonal_poms(basis, weights_b)
-        entries_a.append(a)
-        entries_b.append(b)
-        counts_a.append(ca)
-        counts_b.append(cb)
+        parts.append((a, ca, *_diagonal_poms(basis, weights_b)))
     if generic:
         raw_a, raw_b = zip(*generic)
         ca, cb = (np.array([len(r) for r in raws]) for raws in (raw_a, raw_b))
         both = _whitened(np.concatenate(raw_a + raw_b), np.concatenate([ca, cb]))
-        entries_a.append(both[: ca.sum()])
-        entries_b.append(both[ca.sum() :])
-        counts_a.append(ca)
-        counts_b.append(cb)
-    batch_a = PomBatch(entries=np.concatenate(entries_a), counts=np.concatenate(counts_a))
-    batch_b = PomBatch(entries=np.concatenate(entries_b), counts=np.concatenate(counts_b))
+        parts.append((both[: ca.sum()], ca, both[ca.sum() :], cb))
+    a, ca, b, cb = (np.concatenate(x) for x in zip(*parts))
+    batch_a, batch_b = PomBatch(entries=a, counts=ca), PomBatch(entries=b, counts=cb)
     validate_poms(batch_a, require_normalized=True)
     validate_poms(batch_b, require_normalized=True)
-    reports = objectivity_reports(batch_a, batch_b, tol)
-    linked = np.flatnonzero([rep.ops_commute for rep in reports])
+    kraus_a, kraus_b = kraus_batch(batch_a), kraus_batch(batch_b)
+    reports = objectivity_reports(batch_a, batch_b, kraus_a, kraus_b, tol)
+    linked = np.array([rep.ops_commute for rep in reports])
     link_holds = np.ones(len(reports), dtype=bool)
-    if len(linked):
-        cc = causality_reports(batch_a.select(linked), batch_b.select(linked), tol)
-        link_holds[linked] = [not (r.a_disturbs_b or r.b_disturbs_a) for r in cc]
-    return {
-        d.trial: ObjectivityTrial(
-            seed=seed,
-            trial=d.trial,
-            dim=d.dim,
-            kind="commuting" if d.commuting else "generic",
-            ops_commute=rep.ops_commute,
-            effects_commute=rep.effects_commute,
-            agree=rep.agree,
-            max_order_gap=rep.max_order_gap,
-            link_holds=bool(holds),
-        )
+    if linked.any():
+        batches = (b.select(linked) for b in (batch_a, batch_b, kraus_a, kraus_b))
+        link_holds[linked] = [not (r.a_disturbs_b or r.b_disturbs_a) for r in causality_reports(*batches, tol)]
+    return [
+        ObjectivityTrial(seed, d.trial, d.dim, d.kind, *rep, bool(holds))
         for d, rep, holds in zip(group, reports, link_holds)
-    }
+    ]
 
 
 @dataclass(frozen=True)

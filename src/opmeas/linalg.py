@@ -12,14 +12,17 @@ complex operands, and a public entry point taking two operands checks that
 their dimensions agree.
 
 Operator families are ``(K, d, d)`` stacks.  ``dagger``, ``hermitize``,
-``eig_hermitian`` and ``psd_sqrt`` take one matrix or a stack, and give each
-matrix of a stack the one-matrix call's result, bit for bit.  ``op_norms`` is
-the one exact-norm kernel: one stacked SVD for a whole stack (``op_norm`` is
-its one-matrix call).  ``frobenius_norms`` bounds the operator norm of every
-matrix of a stack at once, and ``pair_bounds`` does so for the products of
-every pair of a family.  ``largest_norm`` then finds the largest exact norm:
-it walks the bounds in descending order in chunks and takes the exact norms
-of each chunk's survivors with one ``op_norms`` call.  A chunk holds at most
+``eig_hermitian``, ``spectral_map`` and ``psd_sqrt`` take one matrix or a
+stack, and give each matrix of a stack the one-matrix call's result, bit for
+bit.  ``spectral_map`` is the one coding of V f(Λ) V†: square roots,
+spectral projections, propagators and the generators' diagonal operators
+all go through it.  ``op_norms`` is the one exact-norm kernel: one stacked
+SVD for a whole stack (``op_norm`` is its one-matrix call).
+``frobenius_norms`` bounds the operator norm of every matrix of a stack at
+once, and ``pair_bounds`` does so for the products of every pair of a
+family.  ``largest_norm`` then finds the largest exact norm: it walks the
+bounds in descending order in chunks and takes the exact norms of each
+chunk's survivors with one ``op_norms`` call.  A chunk holds at most
 ``BLOCK_ENTRIES`` entries (1 MiB per temporary), whatever the size of the
 family.
 """
@@ -48,6 +51,11 @@ _TRUSTED_SQUARES = 2.0**-900
 # Complex entries per block of a stacked pass, and per chunk of exact norms
 # in ``largest_norm`` (1 MiB per temporary).
 BLOCK_ENTRIES = 1 << 16
+# Largest operator dimension accepted from outside the program: lattice sites
+# and ensemble dimensions.  One dense complex matrix of it takes 256 MiB and
+# the commands hold stacks of them; far larger sizes fail inside numpy, as an
+# unaddressable shape or a MemoryError, instead of as an input error.
+MAX_DIM = 1 << 12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -131,9 +139,15 @@ def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     low = lowest[(lowest < -tol).argmax()]  # the first below -tol, if any
     if low < -tol:
         raise SpectrumOutOfRangeError(low, f"matrix is not PSD: eigenvalue {low}")
-    v = eig.eigenvectors
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))[..., np.newaxis, :]
-    return hermitize((v * roots) @ dagger(v))
+    return hermitize(spectral_map(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None))))
+
+
+def spectral_map(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V diag(f) V† of a (d, k) matrix V and k values f, or of each of a
+    stack, formed as (V f) V†; for real f, bit for bit ``V @ diag(f) @ V†``.
+    A boolean f selects columns, which gives a projection for orthonormal V.
+    """
+    return (v * f[..., np.newaxis, :]) @ dagger(v)
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .linalg import (
     hermitize,
     is_hermitian,
     largest_norm,
+    spectral_map,
 )
 from .povm import CommutativityReport, Pom, _stack_pom, effect_of
 
@@ -174,8 +175,7 @@ class LocalizationMap:
 def propagator(model: LatticeModel, t: float) -> np.ndarray:
     """exp(-i H t tau) from the model's cached spectrum of H."""
     eig = model.spectrum
-    phases = np.exp(-1j * eig.eigenvalues * (t * model.time_step))
-    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
+    return spectral_map(eig.eigenvectors, np.exp(-1j * eig.eigenvalues * (t * model.time_step)))
 
 
 def heisenberg(model: LatticeModel, ops: np.ndarray, t: float) -> np.ndarray:

@@ -25,7 +25,7 @@ it gives that row alone, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,6 +105,48 @@ def _deviations(evals: np.ndarray) -> np.ndarray:
     return np.maximum(abs(evals[..., 0]), abs(evals[..., -1]))
 
 
+def kraus_batch(batch: PomBatch) -> PomBatch:
+    """The Kraus stacks sqrt(E_i) of the Luders instruments of a batch's POMs,
+    laid out as the batch, from one stacked ``psd_sqrt``."""
+    return PomBatch(entries=psd_sqrt(batch.entries), counts=batch.counts)
+
+
+def _nondisturbance_deviations(kraus: PomBatch, effects: PomBatch) -> np.ndarray:
+    """``nondisturbance``'s deviation of each entry of a batch of effects
+    under the Luders channel of the same row of a ``kraus_batch``.  The
+    deviations come from stacked products and one stacked ``eig_hermitian``
+    per block of at most ``BLOCK_ENTRIES`` product entries (or one effect),
+    each equal to ``nondisturbance``'s bit for bit."""
+    padded, owners = kraus.padded(), effects.owners
+    deviations = np.empty(len(owners))
+    step = max(1, BLOCK_ENTRIES // padded[0].size)
+    for s in range(0, len(owners), step):
+        block = effects.entries[s : s + step]
+        duals = _duals(padded[owners[s : s + step]], block[:, np.newaxis])[:, 0]
+        deviations[s : s + step] = _deviations(eig_hermitian(duals - block).eigenvalues)
+    return deviations
+
+
+def _pair_maxima(
+    batch_a: PomBatch, batch_b: PomBatch, values: Callable[[np.ndarray, np.ndarray], np.ndarray], pair_entries: int
+) -> np.ndarray:
+    """The largest ``values(A, B)`` of each row over the pairs of an entry A
+    of its POM in batch_a with an entry B of its POM in batch_b.  The pairs
+    of all rows form one list, taken in blocks whose temporaries hold at
+    most ``BLOCK_ENTRIES`` entries (or one pair), at pair_entries per pair;
+    values(x, y) maps the stacks x, y of a block's pairs to one value each."""
+    ia, ib, starts = _cross_pairs(batch_a, batch_b)
+    out = np.empty(len(ia))
+    step = max(1, BLOCK_ENTRIES // pair_entries)
+    for s in range(0, len(ia), step):
+        out[s : s + step] = values(batch_a.entries[ia[s : s + step]], batch_b.entries[ib[s : s + step]])
+    return np.maximum.reduceat(out, starts)
+
+
+def _commutator_norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return op_norms(x @ y - y @ x)
+
+
 class NondisturbanceReport(NamedTuple):
     holds: bool
     deviation: float
@@ -156,16 +198,13 @@ def proposition1_reports(batch: PomBatch, bs: np.ndarray, tol: float = TOL_ONE) 
     """``proposition1_verify`` of each normalized POM of a batch with the
     effect of the same row of a ``(n, d, d)`` stack.
 
-    The commutator norms come from one stacked SVD over the padded stacks
-    (a padding entry's commutator is zero), the Kraus operators from one
-    stacked ``psd_sqrt`` and the deviations ``nondisturbance`` reports from
-    one stacked ``eig_hermitian``.
+    The effects form a batch of one entry per row, so the commutator norms
+    and the deviations come from the kernels that ``objectivity_reports``
+    and ``causality_reports`` use.
     """
-    stacks, b = batch.padded(), bs[:, np.newaxis]
-    n, kmax, d, _ = stacks.shape
-    max_comm = op_norms((b @ stacks - stacks @ b).reshape(-1, d, d)).reshape(n, kmax).max(axis=1)
-    duals = _duals(batch.padded(psd_sqrt(batch.entries)), b)[:, 0]
-    deviation = _deviations(eig_hermitian(duals - bs).eigenvalues)
+    single = PomBatch(entries=bs, counts=np.ones(len(bs), dtype=int))
+    max_comm = _pair_maxima(single, batch, _commutator_norms, bs[0].size)
+    deviation = _nondisturbance_deviations(kraus_batch(batch), single)
     reports = []
     for k, comm, dev in zip(batch.counts, max_comm.tolist(), deviation.tolist()):
         reports.append(
@@ -203,32 +242,25 @@ def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> Objectivi
     if not (pom_a.normalized and pom_b.normalized):
         raise NotNormalizedError("objectivity_check requires normalized POMs")
     require_same_dim(pom_a.stack[0], pom_b.stack[0])
-    return objectivity_reports(PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack), tol)[0]
+    a, b = PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack)
+    return objectivity_reports(a, b, kraus_batch(a), kraus_batch(b), tol)[0]
 
 
-def objectivity_reports(batch_a: PomBatch, batch_b: PomBatch, tol: float = TOL_ONE) -> list[ObjectivityReport]:
-    """``objectivity_check`` of the normalized POMs of the same row of two batches.
+def objectivity_reports(
+    batch_a: PomBatch, batch_b: PomBatch, kraus_a: PomBatch, kraus_b: PomBatch, tol: float = TOL_ONE
+) -> list[ObjectivityReport]:
+    """``objectivity_check`` of the normalized POMs of the same row of two
+    batches, whose ``kraus_batch`` are kraus_a and kraus_b.
 
-    The pairs of all rows form one list.  Their natural representations are
-    formed in blocks of at most ``BLOCK_ENTRIES`` entries (or one pair), and
-    the effect commutators' exact norms come from one ``op_norms`` call per
-    block of at most ``BLOCK_ENTRIES`` entries.  A row's values are the
-    maxima over its pairs.
+    Both maxima come from ``_pair_maxima``: the gaps over the Kraus pairs,
+    whose natural representations hold d**4 entries, and the effect
+    commutators over the entry pairs.
     """
-    d = batch_a.entries.shape[1]
-    ka, kb = psd_sqrt(batch_a.entries), psd_sqrt(batch_b.entries)
-    ia, ib, starts = _cross_pairs(batch_a, batch_b)
-    gaps, comms = np.empty(len(ia)), np.empty(len(ia))
-    step = max(1, BLOCK_ENTRIES // d**4)
-    for s in range(0, len(ia), step):
-        x, y = ka[ia[s : s + step]], kb[ib[s : s + step]]
-        gaps[s : s + step] = np.linalg.norm(_natural(x @ y) - _natural(y @ x), axis=(1, 2))
-    step = max(1, BLOCK_ENTRIES // d**2)
-    for s in range(0, len(ia), step):
-        x, y = batch_a.entries[ia[s : s + step]], batch_b.entries[ib[s : s + step]]
-        comms[s : s + step] = op_norms(x @ y - y @ x)
+    d2 = batch_a.entries[0].size
+    gaps = _pair_maxima(kraus_a, kraus_b, _order_gaps, d2 * d2)
+    comms = _pair_maxima(batch_a, batch_b, _commutator_norms, d2)
     reports = []
-    for gap, comm in zip(np.maximum.reduceat(gaps, starts).tolist(), np.maximum.reduceat(comms, starts).tolist()):
+    for gap, comm in zip(gaps.tolist(), comms.tolist()):
         reports.append(
             ObjectivityReport(
                 ops_commute=gap <= tol,
@@ -255,6 +287,11 @@ def _cross_pairs(batch_a: PomBatch, batch_b: PomBatch) -> tuple[np.ndarray, np.n
     )
 
 
+def _order_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Frobenius norm of kron(XY, conj XY) - kron(YX, conj YX) for each pair of the stacks."""
+    return np.linalg.norm(_natural(x @ y) - _natural(y @ x), axis=(1, 2))
+
+
 def _natural(x: np.ndarray) -> np.ndarray:
     """kron(X, conj X) of each matrix of a (P, d, d) stack, entry by entry the
     product that ``np.kron`` forms (``einsum`` rounds some apart)."""
@@ -277,27 +314,21 @@ def causality_check_C(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> Causality
     require_same_dim(pom_a.stack[0], pom_b.stack[0])
     if not (pom_a.normalized and pom_b.normalized):
         raise NotNormalizedError("Luders instrument requires a normalized POM")
-    return causality_reports(PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack), tol)[0]
+    a, b = PomBatch.of(pom_a.stack), PomBatch.of(pom_b.stack)
+    return causality_reports(a, b, kraus_batch(a), kraus_batch(b), tol)[0]
 
 
-def causality_reports(batch_a: PomBatch, batch_b: PomBatch, tol: float = TOL_ONE) -> list[CausalityCReport]:
-    """``causality_check_C`` of the normalized POMs of the same row of two batches."""
-    a_disturbs, b_disturbs = _disturbs(batch_a, batch_b, tol), _disturbs(batch_b, batch_a, tol)
+def causality_reports(
+    batch_a: PomBatch, batch_b: PomBatch, kraus_a: PomBatch, kraus_b: PomBatch, tol: float = TOL_ONE
+) -> list[CausalityCReport]:
+    """``causality_check_C`` of the normalized POMs of the same row of two
+    batches, whose ``kraus_batch`` are kraus_a and kraus_b."""
+    a_disturbs, b_disturbs = _disturbs(kraus_a, batch_b, tol), _disturbs(kraus_b, batch_a, tol)
     return [CausalityCReport(a, b) for a, b in zip(a_disturbs.tolist(), b_disturbs.tolist())]
 
 
-def _disturbs(source: PomBatch, target: PomBatch, tol: float) -> np.ndarray:
+def _disturbs(kraus: PomBatch, target: PomBatch, tol: float) -> np.ndarray:
     """Whether some effect of each row's target POM fails ``nondisturbance``
-    under the Luders channel of the row's source POM.  The deviations of all
-    effects come from stacked products and one stacked ``eig_hermitian`` per
-    block of at most ``BLOCK_ENTRIES`` product entries (or one effect), each
-    equal to ``nondisturbance``'s deviation bit for bit."""
-    kraus = source.padded(psd_sqrt(source.entries))
-    owners, effects = target.owners, target.entries
-    holds = np.empty(len(effects), dtype=bool)
-    step = max(1, BLOCK_ENTRIES // kraus[0].size)
-    for s in range(0, len(effects), step):
-        block = effects[s : s + step]
-        duals = _duals(kraus[owners[s : s + step]], block[:, np.newaxis])[:, 0]
-        holds[s : s + step] = _deviations(eig_hermitian(duals - block).eigenvalues) <= tol
+    under the Luders channel of the row's Kraus stack."""
+    holds = _nondisturbance_deviations(kraus, target) <= tol
     return ~np.logical_and.reduceat(holds, target.starts)

@@ -127,8 +127,9 @@ class PomBatch:
     """POMs of one dimension: the ``(M, d, d)`` stack of their entries, POM
     after POM, and the number of entries of each.
 
-    ``padded`` lays a stack of one matrix per entry out as
-    ``(n, Kmax, d, d)``, zero past each POM's count.  ``linalg.sum_in_order``
+    A batch of the POMs' Lüders Kraus stacks (``luders.kraus_batch``) has the
+    same layout.  ``padded`` lays the entries out as ``(n, Kmax, d, d)``,
+    zero past each POM's count.  ``linalg.sum_in_order``
     of it along axis 1 gives each POM the sum of its own stack bit for bit,
     since the zeros come after every entry; ``np.add.reduceat`` adds in
     another order and does not.
@@ -152,22 +153,18 @@ class PomBatch:
         """Index of the POM of each entry."""
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
-    def padded(self, per_entry: np.ndarray | None = None) -> np.ndarray:
-        """A stack of one matrix per entry (the entries themselves by default)
-        as a zero-padded ``(n, Kmax, d, d)`` array; a view when every POM has
-        Kmax entries."""
-        x = self.entries if per_entry is None else per_entry
+    def padded(self) -> np.ndarray:
+        """The entries as a zero-padded ``(n, Kmax, d, d)`` array; a view when
+        every POM has Kmax entries."""
         n, kmax = len(self.counts), int(self.counts.max())
         if (self.counts == kmax).all():
-            return x.reshape(n, kmax, *x.shape[1:])
-        out = np.zeros((n, kmax, *x.shape[1:]), dtype=x.dtype)
-        out[np.arange(kmax) < self.counts[:, np.newaxis]] = x
+            return self.entries.reshape(n, kmax, *self.entries.shape[1:])
+        out = np.zeros((n, kmax, *self.entries.shape[1:]), dtype=self.entries.dtype)
+        out[np.arange(kmax) < self.counts[:, np.newaxis]] = self.entries
         return out
 
-    def select(self, rows: np.ndarray) -> PomBatch:
-        """The batch of the POMs at ascending indices rows."""
-        keep = np.zeros(len(self.counts), dtype=bool)
-        keep[rows] = True
+    def select(self, keep: np.ndarray) -> PomBatch:
+        """The batch of the POMs whose entry in the boolean row mask keep is set."""
         return PomBatch(entries=self.entries[np.repeat(keep, self.counts)], counts=self.counts[keep])
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .effects import Effect, validate_effect
 from .errors import OpmeasError
+from .linalg import MAX_DIM
 from .localization import (
     LatticeModel,
     LocalizationMap,
@@ -156,6 +157,8 @@ def model_config_from_json(obj) -> ModelConfig:
     n = obj["n_sites"]
     if not isinstance(n, int) or n < 2:
         raise OpmeasError(f"bad n_sites {n!r}")
+    if n > MAX_DIM:
+        raise OpmeasError(f"n_sites {n} exceeds the largest supported lattice, {MAX_DIM} sites")
     ham = obj.get("hamiltonian", "hopping")
     if isinstance(ham, dict):
         ham = matrix_from_json(ham)

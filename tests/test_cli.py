@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from opmeas.causality import schlieder_scan, singleton_conditions
 from opmeas import povm as povm_module
@@ -124,6 +126,8 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys, pom_file, effect_
         bad_pom.write_text(json.dumps(dict(good, **{field: value})))
         one_error_line(["luders-verify", "--pom", str(bad_pom), "--effect", effect])
     one_error_line(["luders-verify", "--seed", "-1", "--trials", "2"])
+    for size in (2**29, 2**40):  # an allocation of 4 EiB, an unaddressable one
+        one_error_line(["luders-verify", "--dims", f"{size}..{size}", "--trials", "1"])
     for field, value in [
         ("kernel", [True, False, False, False]),
         ("kernel", [0.5, float("inf")]),
@@ -420,3 +424,58 @@ def test_no_report_reads_an_eigenvector_phase(monkeypatch, tmp_path, effect_file
         assert code == want_code, argv
         _assert_same_report(report, want_report, 1e-12, " ".join(argv[:1]))
         _assert_same_report(err, want_err, 1e-12, " ".join(argv[:1]))
+
+
+# Sizes 2..16, or one that no machine could hold: 2**29 sites ask for 4 EiB
+# per matrix, and 2**40 and 2**70 are unaddressable.  Each fails before any
+# memory is touched.
+_SIZES = st.integers(2, 19).map(lambda k: k if k <= 16 else 2 ** (29, 40, 70)[k - 17])
+_VALUES = st.one_of(st.floats(), st.integers(-2, 3), st.booleans(), st.none(), st.text(max_size=2))
+
+
+@st.composite
+def _matrix_json(draw, n: int) -> dict:
+    """A matrix object of the lattice's dimension or another, Hermitian or not."""
+    dim = draw(st.sampled_from([min(n, 16), 2, 3]))
+    cells = draw(st.lists(st.floats(-2, 2), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    m = np.array(cells).view(complex).reshape(dim, dim)
+    if draw(st.booleans()):
+        m = m + m.conj().T
+    return matrix_to_json(m)
+
+
+@st.composite
+def _model_configs(draw) -> dict:
+    """Model-config objects with each optional field absent, valid or malformed."""
+    n = draw(_SIZES)
+    fields = {
+        "construction": st.sampled_from(["sharp", "smeared", "coherent", "other"]),
+        "hamiltonian": st.one_of(st.just("hopping"), _matrix_json(n), _VALUES),
+        "light_speed": st.one_of(st.floats(0.25, 4), _VALUES),
+        "time_step": st.one_of(st.floats(0.25, 4), _VALUES),
+        "kernel": st.one_of(_VALUES, st.lists(st.one_of(st.floats(0, 1), _VALUES), max_size=6)),
+        "fiducial": st.one_of(
+            _VALUES,
+            st.lists(st.one_of(st.floats(-1, 1), st.lists(st.floats(-1, 1), min_size=2, max_size=2)), max_size=17),
+        ),
+    }
+    return {"n_sites": n} | {key: draw(value) for key, value in fields.items() if draw(st.booleans())}
+
+
+@given(cfg=_model_configs(), command=st.sampled_from(["localization-demo", "causality-scan"]))
+@example(cfg={"n_sites": 4, "light_speed": 1e-200, "time_step": 1e-200}, command="causality-scan")
+@example(cfg={"n_sites": 4, "light_speed": 1e-300, "time_step": 1e-10}, command="causality-scan")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_generated_model_configs_never_escape(cfg, command, tmp_path, capsys):
+    """Every model-config file gives an exit code in {0, 1, 2} and no
+    traceback, an input error prints one line, and a lattice too large to
+    hold is an input error."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--model", str(path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert err.startswith("opmeas: error:") and err.count("\n") == 1, err
+    if cfg["n_sites"] > 16:
+        assert rc == 1

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_calls,
     random_commuting_pom_and_effect_loop,
     random_effect_loop,
     random_pom_loop,
     run_objectivity_trials_loop,
     run_prop1_trials_loop,
 )
-from opmeas import ensembles
+from opmeas import ensembles, linalg
 from opmeas.cli import main
 from opmeas.effects import Effect, is_sharp
 from opmeas.ensembles import (
@@ -35,7 +36,7 @@ from opmeas.ensembles import (
     trial_rng,
 )
 from opmeas.errors import OpmeasError
-from opmeas.linalg import op_norm
+from opmeas.linalg import hermitize, op_norm, spectral_map
 from opmeas.povm import PomBatch, build_pom, is_sharp_pom, validate_poms
 
 
@@ -191,7 +192,7 @@ def _generated_batch(seed: int, dim: int, n_poms: int) -> PomBatch:
         if j % 2:
             g, weights, _ = ensembles._draw_commuting(rng, dim, k)
             u = ensembles._unitaries(g[np.newaxis])
-            stacks.append(ensembles._diagonal_in(np.repeat(u, k, axis=0), weights.T))
+            stacks.append(hermitize(spectral_map(np.repeat(u, k, axis=0), weights.T)))
         else:
             stacks.append(ensembles._whitened(ensembles._draw_pom(rng, dim, k), np.array([k])))
     return PomBatch(entries=np.concatenate(stacks), counts=counts)
@@ -237,9 +238,12 @@ def test_batched_validator_raises_what_build_pom_raises(seed, dim, n_poms, fault
 
 
 def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
-    """``luders-verify`` over 200 trials of dimension 2..6 makes at most 200
-    LAPACK calls (a per-trial pass made 4,540), a count that does not depend
-    on the machine."""
+    """``luders-verify`` over 200 trials of dimension 2..6 makes at most 120
+    LAPACK calls (a per-trial pass made 4,540) and takes the Kraus roots once
+    per batch of POMs: 15 ``psd_sqrt`` calls, one per dimension for the
+    proposition-1 ensemble and two for the objectivity one.  Neither count
+    depends on the machine."""
+    roots = count_calls(monkeypatch, linalg, "psd_sqrt")
     calls = []
     for name in ("eigh", "eigvalsh", "svd", "qr"):
         original = getattr(np.linalg, name)
@@ -251,4 +255,5 @@ def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, name, counting)
     assert main(["luders-verify", "--seed", "7", "--trials", "200", "--dims", "2..6"]) == 0
     assert "counterexamples: 0" in capsys.readouterr().out
-    assert 0 < len(calls) <= 200, {name: calls.count(name) for name in set(calls)}
+    assert 0 < len(calls) <= 120, {name: calls.count(name) for name in set(calls)}
+    assert len(roots) == 15

@@ -25,6 +25,7 @@ from opmeas.linalg import (
     pair_bounds,
     psd_sqrt,
     require_same_dim,
+    spectral_map,
 )
 from opmeas.causality import singleton_conditions
 from opmeas.localization import (
@@ -173,6 +174,38 @@ def test_stacked_psd_sqrt_matches_the_loop(seed, dim, kinds, shifts):
         return
     assert isinstance(want, list) and got.shape == stack.shape
     assert all(_same_bytes(root, one) for root, one in zip(got, want))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_spectral_map_matches_the_dense_products(seed, dim, cols):
+    """``spectral_map`` of a stack, and of each matrix alone, equals the
+    dense ``V @ diag(f) @ V†`` of the generator references bit for bit for
+    real values, and in value for a boolean mask (the projections; a zero of
+    the dense product can carry the other sign).  For unit phases it equals
+    the propagator's former ``(V * f) @ V†`` bit for bit on every lattice
+    (d >= 2; numpy multiplies a (1, 1) array by a (1,) one in another loop
+    than by a (1, 1) one, and the two can round apart).  V takes the first
+    cols columns of a unitary, so it is not square when cols < dim (the
+    orthogonal-support pair's columns)."""
+    rng = np.random.default_rng(seed)
+    cols = min(cols, dim)
+    g = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+    v = np.linalg.qr(g)[0][:, :, :cols]
+    real, mask = rng.uniform(0.0, 1.0, (5, cols)), rng.uniform(size=(5, cols)) < 0.5
+    phases = np.exp(-1j * rng.standard_normal((5, cols)))
+
+    def dense(u, f):
+        return u @ np.diag(f.astype(complex)) @ u.conj().T
+
+    cases = [(real, dense, _same_bytes), (mask, dense, np.array_equal)]
+    if dim >= 2:
+        cases.append((phases, lambda u, f: (u * f) @ u.conj().T, _same_bytes))
+    for f, reference, same in cases:
+        stacked = spectral_map(v, f)
+        for i in range(len(v)):
+            want = reference(v[i], f[i])
+            assert same(stacked[i], want) and same(spectral_map(v[i], f[i]), want)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
