@@ -217,6 +217,7 @@ class SingletonTable:
     rows: tuple[ConditionRow, ConditionRow, ConditionRow]  # covariance, strict, weak
     max_eigenvalue: float
     strongly_unsharp: bool
+    covariant: bool  # exactly: E_{x+1} is E_x rolled one site along both axes
 
 
 def singleton_conditions(lmap: LocalizationMap, tol: float = TOL_ONE) -> SingletonTable:
@@ -270,6 +271,7 @@ def singleton_conditions(lmap: LocalizationMap, tol: float = TOL_ONE) -> Singlet
         ),
         max_eigenvalue=max_eig,
         strongly_unsharp=max_eig <= 1.0 - tol,
+        covariant=covariant,
     )
 
 
@@ -307,7 +309,13 @@ def schlieder_scan(
     The consistency assertion — covariance + weak localizability + local
     commutativity + a unit eigenvalue on a bounded proper subset +
     nontrivial dynamics never hold together — is re-checked on every run;
-    a violation is appended to ``findings`` with a full dump.
+    a violation is appended to ``findings`` with a full dump.  The dynamics
+    count as nontrivial when the scanned evolution moves the base effect:
+    ||E_0(t) - E_0|| > tol at some t = 1..max_t, E_0(t) evolved in the
+    stack of its slice, until the first t at which it has moved.  Covariance is a premise of the assertion, so E_0
+    stands for every singleton.  H itself does not decide it: a nonzero H
+    over a time step that rounds exp(-iHt tau) to the identity, or a scan
+    with max_t = 0, samples no evolved pair.
     """
     model = lmap.model
     n = model.n_sites
@@ -325,11 +333,16 @@ def schlieder_scan(
     comm_worst, comm_case = 0.0, "none"
     stack = lmap.base_pom.stack
     dists = np.arange(1, n // 2 + 1)
+    moved = False  # whether E_0(t) leaves E_0 by more than tol at some scanned t >= 1
     for t in range(0, max_t + 1):
         ds = dists[dists > cone_radius(model, t)]
+        probe = t > 0 and not moved  # E_0(t) rides in the slice's stack until it has moved
+        evolved = heisenberg(model, stack[np.r_[0, ds] if probe else ds], t)
+        if probe:  # largest |entry| <= ||gap|| <= ||gap||_F: an SVD only between the two
+            gap, evolved = evolved[:1] - stack[:1], evolved[1:]
+            moved = np.abs(gap).max() > tol or (frobenius_norms(gap)[0] > tol and op_norm(gap[0]) > tol)
         if not len(ds):
             continue
-        evolved = heisenberg(model, stack[ds], t)
         comms = stack[0] @ evolved - evolved @ stack[0]
         worst, at = largest_norm(frobenius_norms(comms), lambda ps: comms[ps])
         if worst > comm_worst:
@@ -348,8 +361,6 @@ def schlieder_scan(
         if unit_window is None and top > 1.0 - tol:
             unit_window = desc
 
-    nontrivial = bool(np.any(model.hamiltonian))
-
     by_name = {r.condition: r for r in rows}
     findings: list[str] = []
     if (
@@ -357,7 +368,7 @@ def schlieder_scan(
         and by_name["weak localizability"].holds
         and by_name["local commutativity"].holds
         and unit_window is not None
-        and nontrivial
+        and moved
     ):
         findings.append(
             "consistency assertion violated: "
@@ -384,7 +395,7 @@ def schlieder_scan(
     return ScanReport(
         label=label,
         n_sites=n,
-        nontrivial_dynamics=nontrivial,
+        nontrivial_dynamics=moved,
         conditions=tuple(rows),
         max_eigenvalues=tuple(eig_table),
         strongly_unsharp=table.strongly_unsharp,

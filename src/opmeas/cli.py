@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from .errors import OpmeasError
 from .linalg import MAX_DIM, eig_hermitian
 from .localization import SpatialSet, phase_space_commutativity
 from .luders import proposition1_verify
-from .povm import is_commutative
+from .povm import row_commutativity
 from .serialize import (
     effect_from_json,
     load_json,
@@ -223,7 +224,8 @@ def cmd_localization_demo(cfg: argparse.Namespace) -> int:
     table = singleton_conditions(lmap, cfg.tol)
     details = ("max over all shifts", "singleton pairs, strict", "singleton pairs")
     rows = [[r.condition, r.holds, r.worst_residual, d] for r, d in zip(table.rows, details)]
-    base_comm = is_commutative(lmap.base_pom, cfg.tol)
+    # on an exactly covariant map [E_x, E_y] = T^x [E_0, E_{y-x}] T^-x: the orbit pairs (0, d) suffice
+    base_comm = row_commutativity(lmap.base_pom, 1 if table.covariant else n, cfg.tol)
     rows += [
         ["base commutativity", base_comm.commutative, base_comm.max_commutator, str(base_comm.worst_pair)],
         ["strong unsharpness", table.strongly_unsharp, table.max_eigenvalue, "max singleton eigenvalue"],
@@ -339,7 +341,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` gives a fresh Namespace
+    on every call, and no argument has a mutable default."""
     p = _Parser(prog="opmeas", description="operational quantum measurement checks")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -204,12 +204,12 @@ def _pick_dim(rng: np.random.Generator, dims: tuple[int, int]) -> int:
 # trial drivers
 
 
-def _windows(trials: int, dims: tuple[int, int], draws_per_trial: int) -> list[range]:
+def _windows(trials: int, dims: tuple[int, int], draws_per_trial: int) -> Iterator[range]:
     """Consecutive ranges of trials whose draws, at most draws_per_trial
     matrices of the largest dimension per trial, hold at most
-    ``BLOCK_ENTRIES`` entries (or one trial)."""
+    ``BLOCK_ENTRIES`` entries (or one trial), made one at a time."""
     size = max(1, BLOCK_ENTRIES // (max(1, dims[1]) ** 2 * max(1, draws_per_trial)))
-    return [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+    return (range(s, min(s + size, trials)) for s in range(0, trials, size))
 
 
 class _Draw(NamedTuple):

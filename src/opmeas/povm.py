@@ -293,7 +293,14 @@ def _commutators(a: np.ndarray, block: np.ndarray, out: np.ndarray, tmp: np.ndar
 
 
 def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
-    """Scan all outcome pairs for the largest commutator norm.
+    """Scan all outcome pairs for the largest commutator norm (``row_commutativity``
+    over every row)."""
+    return row_commutativity(pom, len(pom), tol)
+
+
+def row_commutativity(pom: Pom, rows: int, tol: float) -> CommutativityReport:
+    """Scan the outcome pairs (x, y), x < y, of the first ``rows`` outcomes x
+    for the largest commutator norm: the first pairs of the row-major order.
 
     Since ``||C||_2 <= ||C||_F``, a pair's Frobenius norm bounds its exact
     operator norm.  ``pair_bounds`` takes the bounds from stacked products
@@ -301,7 +308,7 @@ def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
     descending bound: it gathers the commutators of the pairs that could
     still be the worst and takes their exact norms in one stacked SVD per
     chunk.  The maximum and the worst pair are those of a plain loop over
-    all pairs, bit for bit.  Memory beyond the POM: two 1 MiB product
+    the scanned pairs, bit for bit.  Memory beyond the POM: two 1 MiB product
     buffers while bounding, 32 bytes per pair for the bounds, their order
     and the pair indices, then a few temporaries of at most
     ``BLOCK_ENTRIES`` entries (1 MiB) per chunk.  For a Weyl-orbit POVM,
@@ -309,16 +316,16 @@ def is_commutative(pom: Pom, tol: float = TOL_ONE) -> CommutativityReport:
     form.
     """
     stack = pom.stack
-    rows, cols = np.triu_indices(len(pom), 1)
+    firsts, seconds = np.triu_indices(len(pom), 1)
 
     def commutators(ps: np.ndarray) -> np.ndarray:
-        left, right = stack[rows[ps]], stack[cols[ps]]
+        left, right = stack[firsts[ps]], stack[seconds[ps]]
         return left @ right - right @ left
 
-    worst, worst_at = largest_norm(pair_bounds(stack, stack, _commutators), commutators)
+    worst, worst_at = largest_norm(pair_bounds(stack[:rows], stack, _commutators), commutators)
     worst_pair = None
     if worst_at >= 0:
-        worst_pair = (pom.outcomes[rows[worst_at]], pom.outcomes[cols[worst_at]])
+        worst_pair = (pom.outcomes[firsts[worst_at]], pom.outcomes[seconds[worst_at]])
     commutative = worst <= tol
     return CommutativityReport(
         commutative=commutative,

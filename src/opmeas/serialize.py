@@ -16,6 +16,7 @@ failures through OpmeasError so the CLI can map them to exit code 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -48,6 +49,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The (dim, dim) complex matrix of a Matrix object.
+
+    Validation is one array pass: the row, cell and number types are read as
+    sets over the flattened cells, and the values come from one float
+    conversion, checked finite as an array.  A bool, a string or None is not
+    a number here, although ``np.array`` would coerce it.  Only when that
+    screen rejects the input does a row-major walk name its first fault.
+    """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise OpmeasError("matrix JSON needs 'dim' and 'entries'")
     dim = obj["dim"]
@@ -56,18 +65,43 @@ def matrix_from_json(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim:
         raise OpmeasError(f"expected {dim} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    out = np.zeros((dim, dim), dtype=complex)
+    if _all_lists(entries) and set(map(len, entries)) == {dim}:
+        cells = list(itertools.chain.from_iterable(entries))
+        if _all_lists(cells) and set(map(len, cells)) == {2}:
+            values = _finite_floats(list(itertools.chain.from_iterable(cells)))
+            if values is not None:
+                return values.view(complex).reshape(dim, dim)
+    raise OpmeasError(_first_fault(entries, dim))
+
+
+def _all_lists(items: list) -> bool:
+    return all(issubclass(t, list) for t in set(map(type, items)))
+
+
+def _finite_floats(values: list) -> np.ndarray | None:
+    """The float array of a list of JSON numbers, or None unless each is an
+    int or a float (not a bool) whose float value is finite."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _first_fault(entries: list, dim: int) -> str:
+    """The message for the first fault of a row-major walk over the rows of a
+    matrix that ``matrix_from_json``'s screen rejected."""
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
-            raise OpmeasError(f"row {i} is ragged (expected {dim} entries)")
+            return f"row {i} is ragged (expected {dim} entries)"
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
-                raise OpmeasError(f"entry ({i},{j}) must be a [re, im] pair")
-            re, im = cell
-            if not (_is_finite_number(re) and _is_finite_number(im)):
-                raise OpmeasError(f"entry ({i},{j}) must hold two finite numbers")
-            out[i, j] = complex(re, im)
-    return out
+                return f"entry ({i},{j}) must be a [re, im] pair"
+            if _finite_floats(cell) is None:
+                return f"entry ({i},{j}) must hold two finite numbers"
+    raise AssertionError("the screen rejected a well-formed matrix")
 
 
 def _is_finite_number(x) -> bool:
@@ -194,9 +228,9 @@ def model_config_from_json(obj) -> ModelConfig:
 
 def _expand_kernel(kernel, n: int) -> np.ndarray:
     """Short kernels are placed at offsets 0..k-1 and zero-padded to length n."""
-    if not isinstance(kernel, list) or not all(_is_finite_number(x) for x in kernel):
+    k = _finite_floats(kernel) if isinstance(kernel, list) else None
+    if k is None:
         raise OpmeasError("kernel must be a list of finite numbers")
-    k = np.asarray(kernel, dtype=float)
     if k.shape[0] > n:
         raise OpmeasError(f"kernel longer than the lattice ({k.shape[0]} > {n})")
     out = np.zeros(n)

@@ -9,10 +9,12 @@ import pytest
 
 from opmeas.effects import validate_effect
 from opmeas.ensembles import _MARGIN, ObjectivityTrial, Prop1Trial, _ginibre, _pick_dim, trial_rng
+from opmeas.errors import OpmeasError
 from opmeas.linalg import eig_hermitian, hermitize
 from opmeas.localization import LocalizationMap
 from opmeas.luders import causality_check_C, objectivity_check, proposition1_verify
 from opmeas.povm import build_pom, effect_of
+from opmeas.serialize import _is_finite_number
 
 
 def _povm_marginal(povm, model) -> LocalizationMap:
@@ -43,6 +45,35 @@ def count_calls(monkeypatch, module, name: str) -> list:
         if mod_name.startswith("opmeas") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# the per-entry loop that ``serialize.matrix_from_json``'s array pass replaces
+
+
+def matrix_from_json_loop(obj) -> np.ndarray:
+    """Reference for ``matrix_from_json``: each entry checked and converted on
+    its own, in row-major order."""
+    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+        raise OpmeasError("matrix JSON needs 'dim' and 'entries'")
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise OpmeasError(f"bad matrix dim {dim!r}")
+    entries = obj["entries"]
+    if not isinstance(entries, list) or len(entries) != dim:
+        raise OpmeasError(f"expected {dim} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != dim:
+            raise OpmeasError(f"row {i} is ragged (expected {dim} entries)")
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise OpmeasError(f"entry ({i},{j}) must be a [re, im] pair")
+            re, im = cell
+            if not (_is_finite_number(re) and _is_finite_number(im)):
+                raise OpmeasError(f"entry ({i},{j}) must hold two finite numbers")
+            out[i, j] = complex(re, im)
+    return out
 
 
 # ---------------------------------------------------------------------------

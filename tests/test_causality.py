@@ -40,7 +40,7 @@ from opmeas.localization import (
     three_point_kernel,
     zero_hamiltonian,
 )
-from opmeas.povm import build_pom
+from opmeas.povm import build_pom, is_commutative, row_commutativity
 
 
 def hopping_map(n):
@@ -485,6 +485,34 @@ def test_singleton_orbit_table_matches_the_loop_on_covariant_maps(seed, n, kind)
             lmap = _povm_marginal(coherent_state_povm(model, eta), model)
     assert _exactly_covariant(lmap)
     _assert_singletons_match_loops(lmap)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.sampled_from(["rank-one orbit", "marginal", "kernel"]))
+@settings(max_examples=80, deadline=None)
+def test_base_commutativity_orbit_scan_matches_all_pairs(seed, n, kind):
+    """On an exactly covariant map the pairs (0, d) carry every commutator norm
+    of the base POM: the orbit scan's maximum is the all-pairs maximum of
+    ``is_commutative`` within 1e-15, with the same verdict.  The rank-one
+    orbit E_x = T^x |eta><eta| T^-x does not commute."""
+    rng = np.random.default_rng(seed)
+    model = make_model(n)
+    eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    eta /= np.linalg.norm(eta)
+    if kind == "rank-one orbit":
+        effects = np.array([np.roll(np.outer(eta, eta.conj()), (x, x), axis=(0, 1)) for x in range(n)])
+        effects /= eig_hermitian(effects.sum(axis=0)).eigenvalues[-1]
+        lmap = LocalizationMap(base_pom=build_pom(effects, require_normalized=False), model=model)
+    elif kind == "marginal":
+        lmap = position_marginal(model, eta)
+    else:
+        lmap = LocalizationMap(base_pom=build_pom(_kernel_effects(rng, n), require_normalized=False), model=model)
+    assert singleton_conditions(lmap).covariant and _exactly_covariant(lmap)
+    for tol in (1e-8, 0.1):
+        orbit, reference = row_commutativity(lmap.base_pom, 1, tol), is_commutative(lmap.base_pom, tol)
+        assert abs(orbit.max_commutator - reference.max_commutator) <= 1e-15
+        assert orbit.commutative == reference.commutative
+    if kind == "rank-one orbit":
+        assert not is_commutative(lmap.base_pom).commutative
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from opmeas.causality import schlieder_scan, singleton_conditions
 from opmeas import povm as povm_module
-from opmeas.cli import main
+from opmeas.cli import build_parser, main
 from opmeas.effects import validate_effect
 from opmeas.localization import gaussian_fiducial
-from opmeas.povm import build_pom
+from opmeas.povm import build_pom, is_commutative
 from opmeas.serialize import (
     build_construction,
     effect_to_json,
@@ -316,7 +316,14 @@ def test_localization_demo_rows_equal_schlieder_scan(cfg, tmp_path, capsys):
         assert rows[name]["holds"] == scan_row.holds
     assert rows["strong unsharpness"]["holds"] == report.strongly_unsharp
     # the scan reports only the verdict; its eigenvalue comes from the same table
-    assert rows["strong unsharpness"]["value"] == singleton_conditions(lmap).max_eigenvalue
+    table = singleton_conditions(lmap)
+    assert rows["strong unsharpness"]["value"] == table.max_eigenvalue
+    # an exactly covariant map's base row scans the orbit pairs (0, d): the all-pairs values
+    reference = is_commutative(lmap.base_pom)
+    assert table.covariant
+    assert abs(rows["base commutativity"]["value"] - reference.max_commutator) <= 1e-15
+    assert (rows["base commutativity"]["holds"], rows["base commutativity"]["detail"]) == (
+        reference.commutative, str(reference.worst_pair))
 
 
 def test_causality_scan_single_model(tmp_path, capsys):
@@ -479,3 +486,61 @@ def test_generated_model_configs_never_escape(cfg, command, tmp_path, capsys):
         assert err.startswith("opmeas: error:") and err.count("\n") == 1, err
     if cfg["n_sites"] > 16:
         assert rc == 1
+
+
+def test_one_parser_serves_every_call(pom_file, effect_file, capsys):
+    """A sequence of calls on the process's one parser gives each call's exit
+    code, stdout and stderr as a freshly built parser gives them: no flag of
+    one call leaks into the next."""
+    pom = pom_file([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    near_one = effect_file(np.diag([0.9995, 0.0]), "near-one.json")
+    calls = [
+        ["effect-check", "--bogus"],
+        ["--help"],
+        ["luders-verify", "--pom", pom, "--effect", near_one, "--format", "json"],
+        ["luders-verify", "--trials", "3", "--dims", "2..3"],
+        ["luders-verify", "--effect", near_one],
+        ["effect-check", "--effect", near_one, "--tol", "1e-3", "--format", "csv"],
+        ["effect-check", "--effect", near_one],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 1, 0, 0]
+    assert "classification,eigenvalues" in shared[5][1] and "sharp," in shared[5][1]
+    assert "strongly unsharp" in shared[6][1]  # the default tol, not the last call's 1e-3
+
+
+@pytest.mark.parametrize(
+    "cfg, max_t, moves_by_t1",
+    [
+        ({"n_sites": 4, "light_speed": 1e300, "time_step": 1e-300}, None, False),
+        ({"n_sites": 8, "construction": "sharp"}, 0, True),
+    ],
+    ids=["propagator-rounds-to-identity", "no-evolved-pair"],
+)
+def test_consistency_assertion_reads_the_scanned_evolution(cfg, max_t, moves_by_t1, tmp_path, capsys):
+    """A nonzero H is not nontrivial dynamics: over a time step that rounds
+    exp(-iHt tau) to the identity, or in a scan of slice 0 alone, the base
+    effect never moves, and the assertion has no premise to fire on."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    flags = [] if max_t is None else ["--t-max", str(max_t)]
+    assert main(["causality-scan", "--model", str(path), *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "consistency assertion" not in captured.out
+    lmap = build_construction(model_config_from_json(cfg))
+    report = schlieder_scan(lmap, 1 if max_t is None else max_t)  # 1 is the CLI's horizon at c·tau = 1, N = 4
+    assert not report.nontrivial_dynamics and report.findings == ()
+    assert schlieder_scan(lmap, 1).nontrivial_dynamics == moves_by_t1

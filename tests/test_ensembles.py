@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,9 +157,25 @@ def test_stacked_drivers_match_the_per_trial_loops(seed, trials, dims, outcomes,
     objectivity = run_objectivity_trials(seed, trials, dims, outcomes, tol)
     assert _bits(objectivity) == _bits(run_objectivity_trials_loop(seed, trials, dims, outcomes, tol))
     if trials > 100:
-        assert len(ensembles._windows(trials, dims, outcomes[1] + 1)) == 2
-        assert len(ensembles._windows(trials, dims, 2 * outcomes[1])) == 2
+        assert len(list(ensembles._windows(trials, dims, outcomes[1] + 1))) == 2
+        assert len(list(ensembles._windows(trials, dims, 2 * outcomes[1]))) == 2
         assert any(r.ops_commute and r.kind == "generic" for r in objectivity)
+
+
+def test_windows_are_made_one_at_a_time():
+    """Making the windows of 10**7 trials and taking the first costs what it
+    costs for 10**3 trials: no list of every window is built up front."""
+    peaks = []
+    for trials in (10**3, 10**7):
+        tracemalloc.start()
+        try:
+            first = next(iter(ensembles._windows(trials, (2, 6), 6)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert first == range(0, linalg.BLOCK_ENTRIES // (6 * 6 * 6))
+    assert max(peaks) < 4096, peaks
+    assert list(itertools.chain.from_iterable(ensembles._windows(1000, (2, 6), 6))) == list(range(1000))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])

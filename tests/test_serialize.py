@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import matrix_from_json_loop
 from opmeas.effects import validate_effect
 from opmeas.errors import OpmeasError
 from opmeas.localization import (
@@ -199,3 +203,119 @@ def test_fiducial_wrong_length_rejected_at_parse():
         model_config_from_json(
             {"n_sites": 6, "construction": "smeared", "kernel": [0.1] * 7 + [0.3, 0.0]}
         )
+
+
+# ---------------------------------------------------------------------------
+# the array-pass loader against the per-entry reference
+
+_NUMBERS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -0.0, 0.0, 1, 2**53 + 1, 2**70, -(2**70), 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BAD_NUMBERS = [True, False, "1", "nan", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf")]
+
+
+def _bits(a: np.ndarray):
+    return a.shape, a.dtype, a.view(np.uint64).tobytes()
+
+
+def _wire(obj):
+    """obj as it comes back from JSON text: NaN and Infinity as JSON writes them."""
+    return json.loads(json.dumps(obj))
+
+
+@st.composite
+def _matrices(draw, numbers=_NUMBERS):
+    dim = draw(st.integers(1, 16))
+    cells = draw(st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=dim * dim, max_size=dim * dim))
+    return {"dim": dim, "entries": [cells[i * dim : (i + 1) * dim] for i in range(dim)]}
+
+
+@given(_matrices())
+@settings(max_examples=60, deadline=None)
+def test_matrix_from_json_matches_the_per_entry_loop(obj):
+    """Ints, -0.0, 2**70 and floats come back bit for bit as the reference reads them."""
+    obj = _wire(obj)
+    assert _bits(matrix_from_json(obj)) == _bits(matrix_from_json_loop(obj))
+
+
+@st.composite
+def _faulty_matrices(draw):
+    """A well-formed matrix with one to four faults, each a bad number, a
+    ragged or non-list row, or a cell that is not a pair."""
+    obj = draw(_matrices())
+    dim, rows = obj["dim"], obj["entries"]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(["number", "row", "cell"]))
+        if kind == "number" and isinstance(rows[i], list) and isinstance(rows[i][j % len(rows[i])], list):
+            cell = rows[i][j % len(rows[i])]
+            cell[draw(st.integers(0, len(cell) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
+        elif kind == "row":
+            row = rows[i] if isinstance(rows[i], list) else []
+            rows[i] = draw(st.sampled_from([row[:-1], row + [[0, 0]], "row", None, 1.5, {"a": 1}]))
+        elif isinstance(rows[i], list) and rows[i]:
+            rows[i][j % len(rows[i])] = draw(st.sampled_from([[0.5], [0.5, 0.0, 0.0], [], 0.5, "ab", None, {"re": 1}]))
+        else:  # a number fault where the row is already gone
+            rows[i] = [[True, 0.0]] * dim
+    return obj
+
+
+@given(_faulty_matrices())
+@settings(max_examples=150, deadline=None)
+def test_matrix_from_json_names_the_first_fault(obj):
+    """A malformed matrix raises the reference's exception with its message:
+    bools, strings, None, 10**400, JSON NaN and Infinity, ragged rows and
+    cells of length 1 and 3, also with several faults in one matrix."""
+    obj = _wire(obj)
+    with pytest.raises(OpmeasError) as want:
+        matrix_from_json_loop(obj)
+    with pytest.raises(OpmeasError) as got:
+        matrix_from_json(obj)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[[0.5, 0.0], [True, 0.0]], [["x", 0], [0.5, 0.0]]], "entry (0,1) must hold two finite numbers"),
+        ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "row 1 is ragged (expected 2 entries)"),
+        ([[[0.5, 0.0], [0.0]], [[0.0, 0.0]]], "entry (0,1) must be a [re, im] pair"),
+        ([[[0.5, 10**400], [0.0, 0.0, 0.0]], [[0.0, 0.0]]], "entry (0,0) must hold two finite numbers"),
+        ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [None, float("nan")]]], "entry (1,1) must hold two finite numbers"),
+    ],
+)
+def test_matrix_from_json_messages_are_unchanged(entries, message):
+    obj = _wire({"dim": 2, "entries": entries})
+    for loader in (matrix_from_json, matrix_from_json_loop):
+        with pytest.raises(OpmeasError, match=re.escape(message) + "$"):
+            loader(obj)
+
+
+@st.composite
+def _effect_stacks(draw):
+    """k Hermitian effects whose sum, like each effect, has its spectrum in
+    [0.15, 0.85] by Gershgorin's bound: diagonals in [0.3/k, 0.7/k],
+    off-diagonal parts of at most 0.1/(d k)."""
+    dim, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    small = st.one_of(st.sampled_from([0, -0.0, 0.0]), st.floats(-0.1 / (dim * k), 0.1 / (dim * k)))
+    effects = []
+    for _ in range(k):
+        entries = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            entries[i][i] = [draw(st.floats(0.3 / k, 0.7 / k)), draw(st.sampled_from([0, -0.0, 0.0]))]
+            for j in range(i + 1, dim):
+                re, im = draw(small), draw(small)
+                entries[i][j], entries[j][i] = [re, im], [re, -im]
+        effects.append({"dim": dim, "entries": entries})
+    return effects
+
+
+@given(_effect_stacks())
+@settings(max_examples=60, deadline=None)
+def test_pom_from_json_stacks_the_per_entry_matrices(effects):
+    pom = pom_from_json(_wire({"effects": effects, "normalized": False}))
+    reference = build_pom([matrix_from_json_loop(e) for e in _wire(effects)], require_normalized=False)
+    assert _bits(pom.stack) == _bits(reference.stack)
