@@ -243,18 +243,21 @@ def test_matrix_from_json_matches_the_per_entry_loop(obj):
 @st.composite
 def _faulty_matrices(draw):
     """A well-formed matrix with one to four faults, each a bad number, a
-    ragged or non-list row, or a cell that is not a pair."""
+    ragged or non-list row, or a cell that is not a pair.  No fault undoes
+    an earlier one: a ragged row is cut to at most dim - 1 cells or padded
+    to dim + 1, whatever length the row had before."""
     obj = draw(_matrices())
     dim, rows = obj["dim"], obj["entries"]
     for _ in range(draw(st.integers(1, 4))):
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
         kind = draw(st.sampled_from(["number", "row", "cell"]))
-        if kind == "number" and isinstance(rows[i], list) and isinstance(rows[i][j % len(rows[i])], list):
-            cell = rows[i][j % len(rows[i])]
+        cell = rows[i][j % len(rows[i])] if isinstance(rows[i], list) and rows[i] else None
+        if kind == "number" and isinstance(cell, list) and cell:
             cell[draw(st.integers(0, len(cell) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
         elif kind == "row":
             row = rows[i] if isinstance(rows[i], list) else []
-            rows[i] = draw(st.sampled_from([row[:-1], row + [[0, 0]], "row", None, 1.5, {"a": 1}]))
+            short, long = row[: dim - 1], (row + [[0, 0]] * (dim + 1))[: dim + 1]
+            rows[i] = draw(st.sampled_from([short, long, "row", None, 1.5, {"a": 1}]))
         elif isinstance(rows[i], list) and rows[i]:
             rows[i][j % len(rows[i])] = draw(st.sampled_from([[0.5], [0.5, 0.0, 0.0], [], 0.5, "ab", None, {"re": 1}]))
         else:  # a number fault where the row is already gone
