@@ -22,7 +22,6 @@ time evolution:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,6 @@ from .localization import (
     zero_hamiltonian,
 )
 from .povm import effect_of
-
-EPS_INIT = 1e-6
 
 _T_EPS = 1e-9
 
@@ -99,12 +96,11 @@ def leakage_scan(
     d: SpatialSet,
     times,
 ) -> LeakageSeries:
-    """leakage(t) = 1 - <phi_t| E_(inflated d, t) |phi_t>, phi_t = exp(-iHt tau) phi.
+    """leakage(t) = 1 - <phi_t| E_(inflated d, t) |phi_t>, phi_t = exp(-iHt tau) phi,
+    and phi itself at t = 0.
 
-    The initial state should be localized in d: if its detection
-    probability at t = 0 falls below 1 - 1e-6 a warning is emitted and the
-    scan proceeds (the series is still well defined, its baseline is just
-    not zero).
+    The entry at t = 0 is the baseline 1 - p0, p0 = <phi|E_d|phi>: zero for a
+    state localized in d, and the state's probability outside d otherwise.
     """
     model = lmap.model
     v = np.asarray(phi, dtype=complex).reshape(-1)
@@ -114,18 +110,11 @@ def leakage_scan(
     ts = np.asarray(times, dtype=float).reshape(-1)
     if (ts < 0).any():
         raise GeometryError("leakage times must be nonnegative")
-    p0 = float(np.real(v.conj() @ effect_of(lmap.base_pom, d.sites).op @ v))
-    if p0 < 1.0 - EPS_INIT:
-        warnings.warn(
-            f"initial localization probability {p0:.6f} < {1 - EPS_INIT}; "
-            "leakage baseline will not be zero",
-            stacklevel=2,
-        )
     out = np.empty_like(ts)
     for i, t in enumerate(ts):
         grown = inflated_set(d, float(t), model)
         e = effect_of(lmap.base_pom, grown.sites).op
-        vt = propagator(model, float(t)) @ v
+        vt = propagator(model, float(t)) @ v if t > 0 else v
         out[i] = 1.0 - float(np.real(vt.conj() @ e @ vt))
     return LeakageSeries(times=ts, leakage=out)
 

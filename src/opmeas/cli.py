@@ -28,7 +28,6 @@ import io
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -285,9 +284,7 @@ def cmd_causality_scan(cfg: argparse.Namespace) -> int:
         phi = np.zeros(lmap.model.n_sites, dtype=complex)
         phi[0] = 1.0
         times = [0.5 * k for k in range(0, 2 * horizon + 1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # smeared baselines warn by design
-            series = leakage_scan(lmap, phi, SpatialSet({0}), times)
+        series = leakage_scan(lmap, phi, SpatialSet({0}), times)
         for t, leak in zip(series.times, series.leakage):
             all_rows.append([label, "leakage", f"t={float(t)!r}", float(leak), "", ""])
 

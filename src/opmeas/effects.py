@@ -16,13 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotHermitianError, SpectrumOutOfRangeError
-from .linalg import TOL_HERM, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian, hermitize, op_norm, spectral_map
-
-# Clustering tolerance for "eigenvalue equal to 1" / "equal to 0".  Looser
-# than TOL_EIG on purpose: the physically meaningful question is proximity
-# to the spectral endpoints, not floating-point identity.  It is also the
-# default tol of every verdict (the equivalences, the scans, the CLI's --tol).
-TOL_ONE = 1e-8
+from .linalg import TOL_ONE, TOL_PSD, HermitianEigen, as_matrix, eig_hermitian, hermitize, op_norm, spectral_map
 
 
 @dataclass(frozen=True)
@@ -63,19 +57,19 @@ def _frozen(m) -> np.ndarray:
     return a
 
 
-def validate_effect(m, tol: float = TOL_PSD) -> Effect:
-    """Check Hermiticity and spectrum containment in [-tol, 1 + tol].
+def validate_effect(m) -> Effect:
+    """Check Hermiticity and spectrum containment in [-TOL_PSD, 1 + TOL_PSD].
 
     The original matrix is stored as-is; clamping is a validation predicate,
     never a mutation, so serialisation round-trips are exact.
     """
     a = as_matrix(m)
-    if not linalg.is_hermitian(a, TOL_HERM):
+    if not linalg.is_hermitian(a):
         raise NotHermitianError("effect candidate is not Hermitian")
     evals = eig_hermitian(a).eigenvalues
-    if evals[0] < -tol:
+    if evals[0] < -TOL_PSD:
         raise SpectrumOutOfRangeError(evals[0])
-    if evals[-1] > 1 + tol:
+    if evals[-1] > 1 + TOL_PSD:
         raise SpectrumOutOfRangeError(evals[-1])
     return Effect(op=a)
 

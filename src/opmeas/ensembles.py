@@ -1,9 +1,10 @@
 """Seeded random ensembles and trial drivers for the equivalence checks.
 
 All randomness flows from one 64-bit seed through a counter-based Philox
-generator, keyed per trial via ``SeedSequence(entropy=seed, spawn_key=(trial,))``.
-Trial n always sees the same stream no matter how many trials run, in what
-order, or on how many workers, so reports are reproducible and mergeable.
+generator, keyed via ``SeedSequence(entropy=seed, spawn_key=(ensemble, trial))``
+with one ensemble tag per driver.  Trial n always sees the same stream no
+matter how many trials run, in what order, or on how many workers, so reports
+are reproducible and mergeable.
 
 The generators behind the Lüders checks are each split in two.  A draw takes
 all random numbers of one instance from its stream, in a fixed order, and no
@@ -48,10 +49,13 @@ from .povm import Pom, PomBatch, _stack_pom, build_pom, validate_effects, valida
 
 _MARGIN = 1e-6
 
+# The ensemble tag of each driver's streams; 0 is left to draws outside the drivers.
+PROP1_ENSEMBLE, OBJECTIVITY_ENSEMBLE, ANNIHILATION_ENSEMBLE, SHARPNESS_ENSEMBLE = 1, 2, 3, 4
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, order-insensitive stream for one trial."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+
+def trial_rng(seed: int, trial: int, ensemble: int = 0) -> np.random.Generator:
+    """Independent, order-insensitive stream for one trial of one ensemble."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ensemble, trial))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -223,6 +227,7 @@ class _Draw(NamedTuple):
 
 def _run_trials(
     seed: int,
+    ensemble: int,
     trials: int,
     dims: tuple[int, int],
     draws_per_trial: int,
@@ -230,14 +235,14 @@ def _run_trials(
     records_of: Callable[[list[_Draw]], list],
 ) -> list:
     """The drivers' one loop.  For each window of trials, it draws every
-    trial, its dimension first and then ``draw(rng, dim)``'s (kind, parts);
-    then it takes ``records_of`` each dimension's draws, commuting trials
-    first.  Returns the records in trial order."""
+    trial from ``trial_rng(seed, t, ensemble)``, its dimension first and then
+    ``draw(rng, dim)``'s (kind, parts); then it takes ``records_of`` each
+    dimension's draws, commuting trials first.  Returns them in trial order."""
     records = []
     for window in _windows(trials, dims, draws_per_trial):
         draws = []
         for t in window:
-            rng = trial_rng(seed, t)
+            rng = trial_rng(seed, t, ensemble)
             dim = _pick_dim(rng, dims)
             draws.append(_Draw(t, dim, *draw(rng, dim)))
         draws.sort(key=lambda d: (d.dim, d.kind != "commuting"))
@@ -281,7 +286,9 @@ def run_prop1_trials(
             return "commuting", _draw_commuting(rng, dim, n_out)
         return "generic", (_draw_pom(rng, dim, n_out), *_draw_effect(rng, dim))
 
-    return _run_trials(seed, trials, dims, outcomes[1] + 1, draw, lambda group: _prop1_group(seed, group, tol))
+    return _run_trials(
+        seed, PROP1_ENSEMBLE, trials, dims, outcomes[1] + 1, draw, lambda group: _prop1_group(seed, group, tol)
+    )
 
 
 def _prop1_group(seed: int, group: list[_Draw], tol: float) -> list[Prop1Trial]:
@@ -340,7 +347,10 @@ def run_objectivity_trials(
         raw_a = _draw_pom(rng, dim, _pick_dim(rng, outcomes))
         return "generic", (raw_a, _draw_pom(rng, dim, _pick_dim(rng, outcomes)))
 
-    return _run_trials(seed, trials, dims, 2 * outcomes[1], draw, lambda group: _objectivity_group(seed, group, tol))
+    return _run_trials(
+        seed, OBJECTIVITY_ENSEMBLE, trials, dims, 2 * outcomes[1], draw,
+        lambda group: _objectivity_group(seed, group, tol),
+    )
 
 
 def _objectivity_group(seed: int, group: list[_Draw], tol: float) -> list[ObjectivityTrial]:
@@ -397,7 +407,7 @@ def run_annihilation_trials(
     """E1 E2 = 0 vs orthogonality of range projections, both branches."""
     records = []
     for t in range(trials):
-        rng = trial_rng(seed, t)
+        rng = trial_rng(seed, t, ANNIHILATION_ENSEMBLE)
         dim = _pick_dim(rng, dims)
         orthogonal = rng.uniform() < 0.5
         if orthogonal:
@@ -441,7 +451,7 @@ def run_sharpness_trials(
     """is_sharp vs the idempotency defect ||E^2 - E||, projector and generic draws."""
     records = []
     for t in range(trials):
-        rng = trial_rng(seed, t)
+        rng = trial_rng(seed, t, SHARPNESS_ENSEMBLE)
         dim = _pick_dim(rng, dims)
         projector = rng.uniform() < 1.0 / 3.0
         if projector:

@@ -36,10 +36,17 @@ import numpy as np
 
 from .errors import DimensionMismatchError, OpmeasError, SpectrumOutOfRangeError
 
-# Project-wide tolerances.  Public predicates accept an override.
+# The tolerance policy.  TOL_EIG (normalization deficits), TOL_HERM (distance
+# to the adjoint) and TOL_PSD (how far a spectrum may leave [0, 1]) are fixed
+# validation constants.  Every verdict takes its caller's one tol, by default
+# TOL_ONE (--tol), looser than TOL_EIG on purpose: it asks for proximity to a
+# spectral endpoint, not floating-point identity.  BOUND_MARGIN,
+# povm._SCREEN_SLACK, _TRUSTED_SQUARES, causality._T_EPS and ensembles._MARGIN
+# are pruning margins, rounding guards or generator margins, not tolerances.
 TOL_EIG = 1e-10
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
+TOL_ONE = 1e-8
 
 # Relative slack on a Frobenius bound before it may prune.  A bound and the
 # exact norm of the same matrix round apart by about d * 2**-52 relative, which
@@ -94,11 +101,9 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """True iff the operator-norm distance between m and its adjoint is <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return op_norm(m - m.conj().T) <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    """True iff the operator-norm distance between m and its adjoint is <= TOL_HERM."""
+    return op_norm(m - m.conj().T) <= TOL_HERM
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,17 @@ def eig_hermitian(m: np.ndarray) -> HermitianEigen:
     return HermitianEigen(eigenvalues=evals, eigenvectors=vecs)
 
 
-def psd_sqrt(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix, or of each of a stack.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine negativity and raises SpectrumOutOfRangeError (for a stack, as a
-    loop would: for the first matrix that has one).
+    Eigenvalues in [-TOL_PSD, 0) are clamped to zero; anything below -TOL_PSD
+    is a genuine negativity and raises SpectrumOutOfRangeError (for a stack, as
+    a loop would: for the first matrix that has one).
     """
     eig = eig_hermitian(m)
     lowest = eig.eigenvalues[..., 0].reshape(-1)
-    low = lowest[(lowest < -tol).argmax()]  # the first below -tol, if any
-    if low < -tol:
+    low = lowest[(lowest < -TOL_PSD).argmax()]  # the first below -TOL_PSD, if any
+    if low < -TOL_PSD:
         raise SpectrumOutOfRangeError(low, f"matrix is not PSD: eigenvalue {low}")
     return hermitize(spectral_map(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None))))
 

@@ -45,7 +45,7 @@ from .linalg import (
 
 Outcome = Hashable
 
-# How far inside [-tol, 1 + tol] ``_screen`` needs a spectrum to clear it
+# How far inside [-TOL_PSD, 1 + TOL_PSD] ``_screen`` needs a spectrum to clear it
 _SCREEN_SLACK = 2.0**-40
 
 
@@ -73,12 +73,11 @@ def build_pom(
     effects: Sequence[np.ndarray | Effect] | np.ndarray,
     require_normalized: bool,
     outcomes: Sequence[Outcome] | None = None,
-    tol: float = TOL_PSD,
 ) -> Pom:
     """Validate a list of operators, or one ``(K, d, d)`` array, as a POM.
 
     Checks each entry is a valid effect and that the total sum stays below
-    the identity (within tol).  With ``require_normalized`` the sum must
+    the identity (within TOL_PSD).  With ``require_normalized`` the sum must
     equal the identity within TOL_EIG.  The ``normalized`` flag on the
     result records whether the sum is the identity, independently of
     whether that was required.  The first invalid entry raises
@@ -94,26 +93,25 @@ def build_pom(
     if stack is None:  # not nonempty square matrices of one size
         for i, m in enumerate(ops):
             try:
-                validate_effect(m, tol)
+                validate_effect(m)
             except OpmeasError as exc:
                 raise InvalidEffectError(i, exc) from exc
         dims = [np.shape(m)[0] for m in ops]
         i = next(i for i, d in enumerate(dims) if d != dims[0])
         raise InvalidEffectError(i, OpmeasError(f"dim {dims[i]} != {dims[0]}"))
-    return _stack_pom(stack, require_normalized, outcomes, tol)
+    return _stack_pom(stack, require_normalized, outcomes)
 
 
 def _stack_pom(
     stack: np.ndarray,
     require_normalized: bool,
     outcomes: Sequence[Outcome] | None = None,
-    tol: float = TOL_PSD,
 ) -> Pom:
     """``build_pom`` of a read-only complex ``(K, d, d)`` stack that the
     caller hands over: the POM keeps it without a copy, so nothing else may
     hold it.  The checks are ``validate_poms`` on a batch of this one POM.
     """
-    normalized = validate_poms(PomBatch.of(stack), require_normalized, tol)[0]
+    normalized = validate_poms(PomBatch.of(stack), require_normalized)[0]
     labels = tuple(range(len(stack))) if outcomes is None else tuple(outcomes)
     if len(labels) != len(stack):
         raise OpmeasError("outcome labels and effects differ in length")
@@ -168,29 +166,29 @@ class PomBatch:
         return PomBatch(entries=self.entries[np.repeat(keep, self.counts)], counts=self.counts[keep])
 
 
-def validate_poms(batch: PomBatch, require_normalized: bool, tol: float = TOL_PSD) -> np.ndarray:
+def validate_poms(batch: PomBatch, require_normalized: bool) -> np.ndarray:
     """``build_pom``'s checks on every POM of a batch; returns the POMs'
     ``normalized`` flags.
 
     The first POM that fails raises what ``build_pom`` raises on it:
     ``InvalidEffectError`` with the index of its first invalid entry, else
     ``SumExceedsIdentityError`` when its sum exceeds the identity by more
-    than tol, else, with ``require_normalized``, ``NotNormalizedError`` when
+    than TOL_PSD, else, with ``require_normalized``, ``NotNormalizedError`` when
     the sum is off the identity by more than TOL_EIG.  The entries of all
     POMs are screened as one stack (``_first_invalid``), and the spectra and
     deficits of the sums come from one stacked call each.
     """
-    bad = _first_invalid(batch.entries, tol)
+    bad = _first_invalid(batch.entries)
     checked = len(batch.counts) if bad is None else batch.owners[bad[0]]
     eye = np.eye(batch.entries.shape[1], dtype=complex)
     totals = sum_in_order(batch.padded()[:checked], axis=1)
     slack = eig_hermitian(eye - totals).eigenvalues[:, 0]
     deficit = op_norms(totals - eye)
     normalized = deficit <= TOL_EIG
-    failed = np.flatnonzero((slack < -tol) | (require_normalized & ~normalized))
+    failed = np.flatnonzero((slack < -TOL_PSD) | (require_normalized & ~normalized))
     if len(failed):
         j = failed[0]
-        if slack[j] < -tol:
+        if slack[j] < -TOL_PSD:
             raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[j]:.3e}")
         raise NotNormalizedError(f"effect sum differs from identity by {deficit[j]:.3e}")
     if bad is not None:
@@ -199,21 +197,21 @@ def validate_poms(batch: PomBatch, require_normalized: bool, tol: float = TOL_PS
     return normalized
 
 
-def validate_effects(stack: np.ndarray, tol: float = TOL_PSD) -> None:
+def validate_effects(stack: np.ndarray) -> None:
     """``validate_effect`` on every matrix of a ``(M, d, d)`` stack: raises what
     it raises on the first invalid one."""
-    bad = _first_invalid(stack, tol)
+    bad = _first_invalid(stack)
     if bad is not None:
         raise bad[1]
 
 
-def _first_invalid(stack: np.ndarray, tol: float) -> tuple[int, OpmeasError] | None:
+def _first_invalid(stack: np.ndarray) -> tuple[int, OpmeasError] | None:
     """The first entry of a ``(M, d, d)`` stack that ``validate_effect``
     rejects, with its error, or None.  ``validate_effect`` runs only on the
     entries that ``_screen`` cannot clear, in index order."""
-    for i in _screen(stack, tol):
+    for i in _screen(stack):
         try:
-            validate_effect(stack[i], tol)
+            validate_effect(stack[i])
         except OpmeasError as exc:
             return int(i), exc
     return None
@@ -232,17 +230,18 @@ def _as_stack(ops) -> np.ndarray | None:
     return stack
 
 
-def _screen(stack: np.ndarray, tol: float) -> list[int]:
+def _screen(stack: np.ndarray) -> list[int]:
     """Indices of the entries that the stacked screen cannot clear as effects.
 
     The screen runs in blocks of at most ``BLOCK_ENTRIES`` entries.  It
     clears a finite entry E when the Frobenius norm of E - E†, inflated by
     ``BOUND_MARGIN``, is within ``TOL_HERM`` (so its operator norm is), and
     the spectrum of E's Hermitian part, from one batched ``eigvalsh`` per
-    block, lies ``_SCREEN_SLACK`` (9.1e-13) inside [-tol, 1 + tol].  That is
-    far above the rounding gap to ``eig_hermitian``'s spectrum (1.7e-14 on a
-    (256, 16, 16) stack), so ``validate_effect`` decides every entry near a
-    limit, and far below ``TOL_PSD``, so a projector's 0 and 1 clear.
+    block, lies ``_SCREEN_SLACK`` (9.1e-13) inside [-TOL_PSD, 1 + TOL_PSD].
+    That is far above the rounding gap to ``eig_hermitian``'s spectrum
+    (1.7e-14 on a (256, 16, 16) stack), so ``validate_effect`` decides every
+    entry near a limit, and far below ``TOL_PSD``, so a projector's 0 and 1
+    clear.
     """
     k, d, _ = stack.shape
     step = max(1, BLOCK_ENTRIES // (d * d))
@@ -255,7 +254,7 @@ def _screen(stack: np.ndarray, tol: float) -> list[int]:
             parts = hermitize(block)
         parts[~finite] = 0.0
         evals = np.linalg.eigvalsh(parts)
-        inside = (evals[:, 0] >= -tol + _SCREEN_SLACK) & (evals[:, -1] <= 1 + tol - _SCREEN_SLACK)
+        inside = (evals[:, 0] >= -TOL_PSD + _SCREEN_SLACK) & (evals[:, -1] <= 1 + TOL_PSD - _SCREEN_SLACK)
         suspects.extend(start + np.flatnonzero(~(finite & hermitian & inside)))
     return suspects
 

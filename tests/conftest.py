@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from opmeas.effects import validate_effect
-from opmeas.ensembles import _MARGIN, ObjectivityTrial, Prop1Trial, _ginibre, _pick_dim, trial_rng
+from opmeas.ensembles import (
+    _MARGIN,
+    OBJECTIVITY_ENSEMBLE,
+    PROP1_ENSEMBLE,
+    ObjectivityTrial,
+    Prop1Trial,
+    _ginibre,
+    _pick_dim,
+    trial_rng,
+)
 from opmeas.errors import OpmeasError
 from opmeas.linalg import eig_hermitian, hermitize
 from opmeas.localization import LocalizationMap
@@ -77,6 +88,54 @@ def matrix_from_json_loop(obj) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# generated matrix JSON, well-formed and faulty
+
+_NUMBERS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -0.0, 0.0, 1, 2**53 + 1, 2**70, -(2**70), 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BAD_NUMBERS = [True, False, "1", "nan", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf")]
+
+
+def _wire(obj):
+    """obj as it comes back from JSON text: NaN and Infinity as JSON writes them."""
+    return json.loads(json.dumps(obj))
+
+
+@st.composite
+def _matrices(draw, numbers=_NUMBERS):
+    dim = draw(st.integers(1, 16))
+    cells = draw(st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=dim * dim, max_size=dim * dim))
+    return {"dim": dim, "entries": [cells[i * dim : (i + 1) * dim] for i in range(dim)]}
+
+
+@st.composite
+def _faulty_matrices(draw):
+    """A well-formed matrix with one to four faults, each a bad number, a
+    ragged or non-list row, or a cell that is not a pair.  No fault undoes
+    an earlier one: a ragged row is cut to at most dim - 1 cells or padded
+    to dim + 1, whatever length the row had before."""
+    obj = draw(_matrices())
+    dim, rows = obj["dim"], obj["entries"]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(["number", "row", "cell"]))
+        cell = rows[i][j % len(rows[i])] if isinstance(rows[i], list) and rows[i] else None
+        if kind == "number" and isinstance(cell, list) and cell:
+            cell[draw(st.integers(0, len(cell) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
+        elif kind == "row":
+            row = rows[i] if isinstance(rows[i], list) else []
+            short, long = row[: dim - 1], (row + [[0, 0]] * (dim + 1))[: dim + 1]
+            rows[i] = draw(st.sampled_from([short, long, "row", None, 1.5, {"a": 1}]))
+        elif isinstance(rows[i], list) and rows[i]:
+            rows[i][j % len(rows[i])] = draw(st.sampled_from([[0.5], [0.5, 0.0, 0.0], [], 0.5, "ab", None, {"re": 1}]))
+        else:  # a number fault where the row is already gone
+            rows[i] = [[True, 0.0]] * dim
+    return obj
+
+
+# ---------------------------------------------------------------------------
 # per-trial loops that the stacked ensemble drivers replace
 
 
@@ -115,7 +174,7 @@ def prop1_pairs(seed, trials, dims, outcomes):
     """The (dim, kind, POM, effect) of each trial of ``run_prop1_trials``, one
     trial after another from the reference generators."""
     for t in range(trials):
-        rng = trial_rng(seed, t)
+        rng = trial_rng(seed, t, PROP1_ENSEMBLE)
         dim = _pick_dim(rng, dims)
         n_out = _pick_dim(rng, outcomes)
         commuting = rng.uniform() < 1.0 / 3.0
@@ -154,7 +213,7 @@ def objectivity_pairs(seed, trials, dims, outcomes):
     """The (dim, kind, POM A, POM B) of each trial of ``run_objectivity_trials``,
     one trial after another from the reference generators."""
     for t in range(trials):
-        rng = trial_rng(seed, t)
+        rng = trial_rng(seed, t, OBJECTIVITY_ENSEMBLE)
         dim = _pick_dim(rng, dims)
         commuting = rng.uniform() < 1.0 / 3.0
         if commuting:

@@ -123,13 +123,24 @@ def test_leakage_reads_the_time_step():
     assert series.leakage[2] > 0.02
 
 
-def test_leakage_bounded_and_warns_on_delocalized_state():
+def test_leakage_bounded_and_baseline_is_one_minus_p0_on_delocalized_state():
     lmap = hopping_map(16)
     phi = np.full(16, 0.25)  # spread out, p0 = 1/16
-    with pytest.warns(UserWarning, match="initial localization probability"):
-        series = leakage_scan(lmap, phi, SpatialSet({0}), [0.0, 1.0])
+    series = leakage_scan(lmap, phi, SpatialSet({0}), [0.0, 1.0])
+    assert series.leakage[0] == 0.9375
     assert np.all(series.leakage >= -1e-10)
     assert np.all(series.leakage <= 1.0 + 1e-10)
+
+
+def test_leakage_at_time_zero_reads_the_state_itself():
+    # V V† rounds off the identity: evolving phi = |0> by propagator(model, 0)
+    # gave -1.78e-15 for the sharp map and 0.4999999999999991 for the smeared one
+    model = make_model(32)
+    phi = np.zeros(32)
+    phi[0] = 1.0
+    sharp, smeared = sharp_position_map(model), smeared_position_map(model, three_point_kernel(32))
+    assert leakage_scan(sharp, phi, SpatialSet({0}), [0.0, 0.5]).leakage[0] == 0.0
+    assert leakage_scan(smeared, phi, SpatialSet({0}), [0.0, 0.5]).leakage[0] == 0.5
 
 
 def test_leakage_input_validation():
@@ -317,9 +328,9 @@ def test_family_consistency_assertion_never_fires():
 def test_builtin_model_family_builds_no_povm(monkeypatch):
     screened, screen = [], povm_module._screen
 
-    def recording(stack, tol):  # every POM, of any construction, passes the screen once
+    def recording(stack):  # every POM, of any construction, passes the screen once
         screened.append(len(stack))
-        return screen(stack, tol)
+        return screen(stack)
 
     monkeypatch.setattr(povm_module, "_screen", recording)
     family = dict(builtin_model_family(sizes=(4, 6)))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _faulty_matrices
 from opmeas.causality import schlieder_scan, singleton_conditions
 from opmeas import povm as povm_module
 from opmeas.cli import build_parser, main
@@ -115,7 +117,7 @@ def test_missing_file_and_bad_flags_exit_one(tmp_path, capsys, pom_file, effect_
     one_error_line(["effect-check", "--effect", effect, "--out", str(tmp_path / "no-dir" / "x.txt")])
     one_error_line(["effect-check", "--effect", effect, "--tol", "nan"])
     one_error_line(["effect-check", "--effect", effect, "--seed", "3"])  # a luders-verify flag
-    good = json.loads(open(pom_2x2).read())
+    good = json.loads(Path(pom_2x2).read_text())
     for field, value in [
         ("effects", 5),
         ("outcomes", 5),
@@ -254,9 +256,9 @@ def test_localization_demo_coherent_reports_phase_space(tmp_path, capsys):
 def test_localization_demo_coherent_builds_no_povm(monkeypatch, tmp_path, capsys):
     screened, screen = [], povm_module._screen
 
-    def recording(stack, tol):  # every POM, of any construction, passes the screen once
+    def recording(stack):  # every POM, of any construction, passes the screen once
         screened.append(len(stack))
-        return screen(stack, tol)
+        return screen(stack)
 
     monkeypatch.setattr(povm_module, "_screen", recording)
     path = tmp_path / "model.json"
@@ -486,6 +488,46 @@ def test_generated_model_configs_never_escape(cfg, command, tmp_path, capsys):
         assert err.startswith("opmeas: error:") and err.count("\n") == 1, err
     if cfg["n_sites"] > 16:
         assert rc == 1
+
+
+@given(obj=_faulty_matrices(), place=st.sampled_from(["effect-check", "luders-verify --effect", "luders-verify --pom"]))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_faulty_matrix_files_exit_one(obj, place, pom_file, effect_file, tmp_path, capsys):
+    """A faulty matrix in an --effect file, or as an effect of a --pom file,
+    exits 1 with nothing on stdout, one error line on stderr and no traceback."""
+    bad = tmp_path / "bad.json"
+    if place == "luders-verify --pom":
+        bad.write_text(json.dumps({"effects": [obj, matrix_to_json(I2 / 2)], "normalized": True}))
+    else:
+        bad.write_text(json.dumps(dict(obj, kind="effect")))
+    argv = {
+        "effect-check": ["effect-check", "--effect", str(bad)],
+        "luders-verify --effect": ["luders-verify", "--pom", pom_file([I2 / 2, I2 / 2]), "--effect", str(bad)],
+        "luders-verify --pom": ["luders-verify", "--pom", str(bad), "--effect", effect_file(I2 / 2)],
+    }[place]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("opmeas: error:") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verdicts_hold_across_the_tolerance_range(capsys):
+    """No verdict flips for tol in [1e-10, 1e-6]: not the family sweep's
+    verdicts and condition rows, nor the luders-verify --seed 7 summary."""
+
+    def sweep(tol):
+        assert main(["causality-scan", "--format", "json", "--tol", tol]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc["verdicts"], [(r["label"], r["item"], r["holds"]) for r in doc["rows"] if r["section"] == "condition"]
+
+    def summary(tol):
+        assert main(["luders-verify", "--seed", "7", "--format", "json", "--tol", tol]) == 0
+        return json.loads(capsys.readouterr().out)["summary"]
+
+    tols = ["1e-10", "1e-9", "1e-8", "1e-7", "1e-6"]
+    sweeps, summaries = [sweep(tol) for tol in tols], [summary(tol) for tol in tols]
+    assert all(s == sweeps[0] for s in sweeps) and all(s == summaries[0] for s in summaries)
 
 
 def test_one_parser_serves_every_call(pom_file, effect_file, capsys):

@@ -274,3 +274,11 @@ def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
     assert "counterexamples: 0" in capsys.readouterr().out
     assert 0 < len(calls) <= 120, {name: calls.count(name) for name in set(calls)}
     assert len(roots) == 15
+
+
+def test_each_ensemble_draws_its_own_streams():
+    # keyed by (seed, trial) alone, all four drew the same dimension in every trial
+    drivers = (run_prop1_trials, run_objectivity_trials, run_annihilation_trials, run_sharpness_trials)
+    dims = [[r.dim for r in run(7, 50, (2, 6))] for run in drivers]
+    for i, j in itertools.combinations(range(len(drivers)), 2):
+        assert dims[i] != dims[j], (drivers[i].__name__, drivers[j].__name__)

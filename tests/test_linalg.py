@@ -140,13 +140,13 @@ def test_stacked_eig_hermitian_matches_each_matrix_bit_for_bit(seed, dim, kinds)
         assert _same_bytes(values, one.eigenvalues) and _same_bytes(vectors, one.eigenvectors)
 
 
-def _psd_sqrt_loop(stack: np.ndarray, tol: float = 1e-9):
+def _psd_sqrt_loop(stack: np.ndarray):
     """Reference: ``psd_sqrt`` of each matrix in turn; the first failure's
     type, eigenvalue and message, or the roots."""
     roots = []
     for m in stack:
         try:
-            roots.append(psd_sqrt(m, tol))
+            roots.append(psd_sqrt(m))
         except SpectrumOutOfRangeError as exc:
             return type(exc), exc.eigenvalue, str(exc)
     return roots

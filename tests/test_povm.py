@@ -20,7 +20,7 @@ from opmeas.errors import (
     SumExceedsIdentityError,
     UnknownOutcomeError,
 )
-from opmeas.linalg import TOL_EIG, commutator_norm, eig_hermitian, hermitize, op_norm
+from opmeas.linalg import TOL_EIG, TOL_PSD, commutator_norm, eig_hermitian, hermitize, op_norm
 from opmeas import povm as povm_module
 from opmeas.localization import (
     coherent_state_povm,
@@ -71,14 +71,14 @@ def test_build_rejects_duplicate_labels():
         build_pom([diag(0.5, 0.5), diag(0.5, 0.5)], require_normalized=True, outcomes=["a", "a"])
 
 
-def _build_pom_loop(effects, require_normalized, outcomes=None, tol=1e-9):
+def _build_pom_loop(effects, require_normalized, outcomes=None):
     """Reference: validate_effect on every entry in turn, then the dimensions,
     then the sum; returns (labels, validated ops, normalized)."""
     validated = []
     for i, raw in enumerate(effects):
         m = raw.op if isinstance(raw, Effect) else raw
         try:
-            validated.append(validate_effect(m, tol))
+            validated.append(validate_effect(m))
         except OpmeasError as exc:
             raise InvalidEffectError(i, exc) from exc
     dim = validated[0].dim
@@ -89,7 +89,7 @@ def _build_pom_loop(effects, require_normalized, outcomes=None, tol=1e-9):
     for e in validated:
         total = total + e.op
     slack = eig_hermitian(np.eye(dim, dtype=complex) - hermitize(total)).eigenvalues
-    if slack[0] < -tol:
+    if slack[0] < -TOL_PSD:
         raise SumExceedsIdentityError(f"effect sum exceeds identity by {-slack[0]:.3e}")
     deficit = op_norm(total - np.eye(dim, dtype=complex))
     if require_normalized and deficit > TOL_EIG:
@@ -205,9 +205,9 @@ def test_screen_clears_projectors_and_coherent_marginals(monkeypatch):
     by one."""
     calls = []
 
-    def counting(m, tol=1e-9):
+    def counting(m):
         calls.append(m)
-        return validate_effect(m, tol)
+        return validate_effect(m)
 
     monkeypatch.setattr(povm_module, "validate_effect", counting)
     model = make_model(32)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_from_json_loop
+from conftest import _faulty_matrices, _matrices, _wire, matrix_from_json_loop
 from opmeas.effects import validate_effect
 from opmeas.errors import OpmeasError
 from opmeas.localization import (
@@ -208,28 +208,9 @@ def test_fiducial_wrong_length_rejected_at_parse():
 # ---------------------------------------------------------------------------
 # the array-pass loader against the per-entry reference
 
-_NUMBERS = st.one_of(
-    st.integers(-(2**80), 2**80),
-    st.sampled_from([0, -0.0, 0.0, 1, 2**53 + 1, 2**70, -(2**70), 5e-324, 1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-_BAD_NUMBERS = [True, False, "1", "nan", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf")]
-
 
 def _bits(a: np.ndarray):
     return a.shape, a.dtype, a.view(np.uint64).tobytes()
-
-
-def _wire(obj):
-    """obj as it comes back from JSON text: NaN and Infinity as JSON writes them."""
-    return json.loads(json.dumps(obj))
-
-
-@st.composite
-def _matrices(draw, numbers=_NUMBERS):
-    dim = draw(st.integers(1, 16))
-    cells = draw(st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=dim * dim, max_size=dim * dim))
-    return {"dim": dim, "entries": [cells[i * dim : (i + 1) * dim] for i in range(dim)]}
 
 
 @given(_matrices())
@@ -238,31 +219,6 @@ def test_matrix_from_json_matches_the_per_entry_loop(obj):
     """Ints, -0.0, 2**70 and floats come back bit for bit as the reference reads them."""
     obj = _wire(obj)
     assert _bits(matrix_from_json(obj)) == _bits(matrix_from_json_loop(obj))
-
-
-@st.composite
-def _faulty_matrices(draw):
-    """A well-formed matrix with one to four faults, each a bad number, a
-    ragged or non-list row, or a cell that is not a pair.  No fault undoes
-    an earlier one: a ragged row is cut to at most dim - 1 cells or padded
-    to dim + 1, whatever length the row had before."""
-    obj = draw(_matrices())
-    dim, rows = obj["dim"], obj["entries"]
-    for _ in range(draw(st.integers(1, 4))):
-        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        kind = draw(st.sampled_from(["number", "row", "cell"]))
-        cell = rows[i][j % len(rows[i])] if isinstance(rows[i], list) and rows[i] else None
-        if kind == "number" and isinstance(cell, list) and cell:
-            cell[draw(st.integers(0, len(cell) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
-        elif kind == "row":
-            row = rows[i] if isinstance(rows[i], list) else []
-            short, long = row[: dim - 1], (row + [[0, 0]] * (dim + 1))[: dim + 1]
-            rows[i] = draw(st.sampled_from([short, long, "row", None, 1.5, {"a": 1}]))
-        elif isinstance(rows[i], list) and rows[i]:
-            rows[i][j % len(rows[i])] = draw(st.sampled_from([[0.5], [0.5, 0.0, 0.0], [], 0.5, "ab", None, {"re": 1}]))
-        else:  # a number fault where the row is already gone
-            rows[i] = [[True, 0.0]] * dim
-    return obj
 
 
 @given(_faulty_matrices())
