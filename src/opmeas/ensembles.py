@@ -60,7 +60,9 @@ def trial_rng(seed: int, trial: int, ensemble: int = 0) -> np.random.Generator:
 
 
 def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """Complex Ginibre matrix: the real part's entries, then the imaginary part's."""
+    g = rng.standard_normal((2, dim, dim))
+    return g[0] + 1j * g[1]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -105,8 +107,9 @@ def random_effect(rng: np.random.Generator, dim: int) -> Effect:
 
 
 def _draw_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
-    """``random_pom``'s draws: one Ginibre matrix per outcome."""
-    return np.array([_ginibre(rng, dim) for _ in range(n_outcomes)])
+    """``random_pom``'s draws: one ``_ginibre`` matrix per outcome, in turn."""
+    g = rng.standard_normal((n_outcomes, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _whitened(raw: np.ndarray, counts: np.ndarray) -> np.ndarray:

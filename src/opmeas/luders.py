@@ -25,7 +25,7 @@ it gives that row alone, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .effects import TOL_ONE, Effect
 from .errors import NotNormalizedError
 from .linalg import (
     BLOCK_ENTRIES,
+    BOUND_MARGIN,
     as_matrix,
     eig_hermitian,
+    frobenius_norms,
     hermitize,
     op_norms,
     outer,
@@ -119,32 +121,64 @@ def _nondisturbance_deviations(kraus: PomBatch, effects: PomBatch) -> np.ndarray
     each equal to ``nondisturbance``'s bit for bit."""
     padded, owners = kraus.padded(), effects.owners
     deviations = np.empty(len(owners))
-    step = max(1, BLOCK_ENTRIES // padded[0].size)
-    for s in range(0, len(owners), step):
-        block = effects.entries[s : s + step]
-        duals = _duals(padded[owners[s : s + step]], block[:, np.newaxis])[:, 0]
-        deviations[s : s + step] = _deviations(eig_hermitian(duals - block).eigenvalues)
+    for s in _blocks(len(owners), padded[0].size):
+        block = effects.entries[s]
+        duals = _duals(padded[owners[s]], block[:, np.newaxis])[:, 0]
+        deviations[s] = _deviations(eig_hermitian(duals - block).eigenvalues)
     return deviations
 
 
-def _pair_maxima(
-    batch_a: PomBatch, batch_b: PomBatch, values: Callable[[np.ndarray, np.ndarray], np.ndarray], pair_entries: int
-) -> np.ndarray:
-    """The largest ``values(A, B)`` of each row over the pairs of an entry A
-    of its POM in batch_a with an entry B of its POM in batch_b.  The pairs
-    of all rows form one list, taken in blocks whose temporaries hold at
-    most ``BLOCK_ENTRIES`` entries (or one pair), at pair_entries per pair;
-    values(x, y) maps the stacks x, y of a block's pairs to one value each."""
-    ia, ib, starts = _cross_pairs(batch_a, batch_b)
+def _gap_maxima(kraus_a: PomBatch, kraus_b: PomBatch) -> np.ndarray:
+    """The largest ``_order_gaps`` of each row over the pairs of a Kraus
+    operator of its POM in kraus_a with one of its POM in kraus_b.  The pairs
+    of all rows form one list, taken in ``_blocks``."""
+    ia, ib, starts = _cross_pairs(kraus_a, kraus_b)
     out = np.empty(len(ia))
-    step = max(1, BLOCK_ENTRIES // pair_entries)
-    for s in range(0, len(ia), step):
-        out[s : s + step] = values(batch_a.entries[ia[s : s + step]], batch_b.entries[ib[s : s + step]])
+    for s in _blocks(len(ia), kraus_a.entries[0].size):
+        out[s] = _order_gaps(kraus_a.entries[ia[s]], kraus_b.entries[ib[s]])
     return np.maximum.reduceat(out, starts)
 
 
-def _commutator_norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return op_norms(x @ y - y @ x)
+def _commutator_maxima(batch_a: PomBatch, batch_b: PomBatch) -> np.ndarray:
+    """The largest commutator norm ||AB - BA|| of each row over the pairs of
+    an entry A of its POM in batch_a with an entry B of its POM in batch_b,
+    in one pass over ``_blocks`` of the list of all rows' pairs.
+
+    Each pair's norm is bounded from above by the Frobenius norm and from
+    below by the largest column norm of its commutator.  A block takes the
+    exact norms, with one ``op_norms`` call, of its pairs whose bound,
+    inflated by ``BOUND_MARGIN``, exceeds the largest lower bound of their
+    row so far, deflated by it.  The pair that sets that lower bound is
+    kept, and every pair left out has a norm below its norm, so each row's
+    maximum is the one that the exact norm of every pair gives.  An exactly
+    zero commutator, whose bound is zero, is never kept: its norm is 0.0
+    without an SVD.
+    """
+    ia, ib, starts = _cross_pairs(batch_a, batch_b)
+    rows = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ia)))
+    floor = np.zeros(len(starts))  # each row's largest lower bound so far
+    out = np.zeros(len(ia))
+    for s in _blocks(len(ia), batch_a.entries[0].size):
+        x, y = batch_a.entries[ia[s]], batch_b.entries[ib[s]]
+        c = x @ y - y @ x
+        np.maximum.at(floor, rows[s], np.sqrt(_column_squares(c).max(axis=1)))
+        kept = np.flatnonzero(frobenius_norms(c) * (1 + BOUND_MARGIN) > floor[rows[s]] * (1 - BOUND_MARGIN))
+        if len(kept):
+            out[s][kept] = op_norms(c[kept])
+    return np.maximum.reduceat(out, starts)
+
+
+def _blocks(items: int, item_entries: int) -> Iterator[slice]:
+    """Consecutive slices of a list of items (pairs, or effects) whose
+    temporaries, at item_entries per item, hold at most ``BLOCK_ENTRIES``
+    entries (or one item)."""
+    step = max(1, BLOCK_ENTRIES // item_entries)
+    return (slice(s, s + step) for s in range(0, items, step))
+
+
+def _column_squares(c: np.ndarray) -> np.ndarray:
+    """Sum of the squared moduli of each column of each matrix of a (P, d, d) stack."""
+    return np.einsum("pij,pij->pj", c.real, c.real) + np.einsum("pij,pij->pj", c.imag, c.imag)
 
 
 class NondisturbanceReport(NamedTuple):
@@ -203,7 +237,7 @@ def proposition1_reports(batch: PomBatch, bs: np.ndarray, tol: float = TOL_ONE) 
     and ``causality_reports`` use.
     """
     single = PomBatch(entries=bs, counts=np.ones(len(bs), dtype=int))
-    max_comm = _pair_maxima(single, batch, _commutator_norms, bs[0].size)
+    max_comm = _commutator_maxima(single, batch)
     deviation = _nondisturbance_deviations(kraus_batch(batch), single)
     reports = []
     for k, comm, dev in zip(batch.counts, max_comm.tolist(), deviation.tolist()):
@@ -236,7 +270,10 @@ def objectivity_check(pom_a: Pom, pom_b: Pom, tol: float = TOL_ONE) -> Objectivi
     equal iff those matrices are (Watrous, The Theory of Quantum
     Information, §2.2).  So ``max_order_gap`` is the largest Frobenius norm
     of their difference over all Kraus pairs; it bounds
-    ||X rho X† - Y rho Y†|| from above on every pure state.  Compared
+    ||X rho X† - Y rho Y†|| from above on every pure state.  It is formed
+    from X and Y alone: the gap of a pair is zero exactly when X = e^{iθ} Y,
+    and after turning Y by the phase of tr(X† Y) the squared gap is a sum of
+    terms that each carry D = X - e^{iθ} Y (``_order_gaps``).  Compared
     against plain pairwise commutativity of the effects.
     """
     if not (pom_a.normalized and pom_b.normalized):
@@ -252,13 +289,12 @@ def objectivity_reports(
     """``objectivity_check`` of the normalized POMs of the same row of two
     batches, whose ``kraus_batch`` are kraus_a and kraus_b.
 
-    Both maxima come from ``_pair_maxima``: the gaps over the Kraus pairs,
-    whose natural representations hold d**4 entries, and the effect
-    commutators over the entry pairs.
+    The gaps are ``_gap_maxima`` over the Kraus pairs, O(d²) per pair.  The effect commutators are ``_commutator_maxima`` over
+    the entry pairs, which takes exact norms only of the pairs that Frobenius
+    and column-norm bounds do not settle.
     """
-    d2 = batch_a.entries[0].size
-    gaps = _pair_maxima(kraus_a, kraus_b, _order_gaps, d2 * d2)
-    comms = _pair_maxima(batch_a, batch_b, _commutator_norms, d2)
+    gaps = _gap_maxima(kraus_a, kraus_b)
+    comms = _commutator_maxima(batch_a, batch_b)
     reports = []
     for gap, comm in zip(gaps.tolist(), comms.tolist()):
         reports.append(
@@ -288,15 +324,33 @@ def _cross_pairs(batch_a: PomBatch, batch_b: PomBatch) -> tuple[np.ndarray, np.n
 
 
 def _order_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Frobenius norm of kron(XY, conj XY) - kron(YX, conj YX) for each pair of the stacks."""
-    return np.linalg.norm(_natural(x @ y) - _natural(y @ x), axis=(1, 2))
+    """Frobenius norm of kron(X, conj X) - kron(Y, conj Y), with X = xy and
+    Y = yx, for each pair of the stacks, from d x d operands alone.
+
+    With s = <X, Y> = tr(X† Y), Y' = (conj s / |s|) Y (Y' = Y when s = 0) and
+    D = X - Y', kron(Y, conj Y) = kron(Y', conj Y') and the difference is
+    kron(D, conj X) + kron(Y', conj D), whose squared norm is
+    ||D||²(||X||² + ||Y||²) + 2 Re(<D, Y'> conj <X, D>).  Every term carries
+    D, so a gap of rounding noise stays rounding noise, where the equal
+    ||X||⁴ + ||Y||⁴ - 2|s|² would leave about sqrt(eps) of it.  D is the test
+    xy = e^{iθ} yx: the gap vanishes exactly when it holds.  The sum is a
+    squared norm, but rounding may take a vanishing one just below zero.
+    """
+    xy, yx = x @ y, y @ x
+    s = _inners(xy, yx)
+    phase = np.ones_like(s)
+    nonzero = s != 0
+    phase[nonzero] = s[nonzero].conj() / abs(s[nonzero])
+    yx *= phase[:, np.newaxis, np.newaxis]
+    d = xy - yx
+    squares = _inners(d, d).real * (_inners(xy, xy).real + _inners(yx, yx).real)
+    squares += 2 * (_inners(d, yx) * _inners(xy, d).conj()).real
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
-def _natural(x: np.ndarray) -> np.ndarray:
-    """kron(X, conj X) of each matrix of a (P, d, d) stack, entry by entry the
-    product that ``np.kron`` forms (``einsum`` rounds some apart)."""
-    p, d, _ = x.shape
-    return (x[:, :, None, :, None] * x.conj()[:, None, :, None, :]).reshape(p, d * d, d * d)
+def _inners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(A† B) for each pair of matrices of two (P, d, d) stacks."""
+    return np.einsum("pij,pij->p", a.conj(), b)
 
 
 class CausalityCReport(NamedTuple):

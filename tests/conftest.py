@@ -16,7 +16,6 @@ from opmeas.ensembles import (
     PROP1_ENSEMBLE,
     ObjectivityTrial,
     Prop1Trial,
-    _ginibre,
     _pick_dim,
     trial_rng,
 )
@@ -139,9 +138,15 @@ def _faulty_matrices(draw):
 # per-trial loops that the stacked ensemble drivers replace
 
 
+def _ginibre_loop(rng, dim):
+    """Reference Ginibre draw: two calls, the real part's entries and then
+    the imaginary part's, apart from the kernel that ``ensembles`` draws with."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def random_pom_loop(rng, dim, n_outcomes):
     """Reference for ``ensembles.random_pom``, one matrix at a time."""
-    raw = [hermitize(g.conj().T @ g) for g in (_ginibre(rng, dim) for _ in range(n_outcomes))]
+    raw = [hermitize(g.conj().T @ g) for g in (_ginibre_loop(rng, dim) for _ in range(n_outcomes))]
     eig = eig_hermitian(sum(raw))
     w = eig.eigenvectors @ np.diag(1.0 / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
     return build_pom([hermitize(w @ m @ w) for m in raw], require_normalized=True)
@@ -149,7 +154,7 @@ def random_pom_loop(rng, dim, n_outcomes):
 
 def random_effect_loop(rng, dim):
     """Reference for ``ensembles.random_effect``."""
-    g = _ginibre(rng, dim)
+    g = _ginibre_loop(rng, dim)
     m = hermitize(g.conj().T @ g)
     top = eig_hermitian(m).eigenvalues[-1]
     return validate_effect(m * (rng.uniform(0.2, 1.0 - _MARGIN) / top))
@@ -163,7 +168,7 @@ def _diagonal_pom_loop(u, weights):
 
 def random_commuting_pom_and_effect_loop(rng, dim, n_outcomes):
     """Reference for ``ensembles.random_commuting_pom_and_effect``."""
-    q, r = np.linalg.qr(_ginibre(rng, dim))
+    q, r = np.linalg.qr(_ginibre_loop(rng, dim))
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     pom = _diagonal_pom_loop(u, rng.dirichlet(np.ones(n_outcomes), size=dim))
     b = validate_effect(hermitize(u @ np.diag(rng.uniform(0.0, 1.0, size=dim).astype(complex)) @ u.conj().T))

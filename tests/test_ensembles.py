@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,15 +261,19 @@ def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
     """``luders-verify`` over 200 trials of dimension 2..6 makes at most 120
     LAPACK calls (a per-trial pass made 4,540) and takes the Kraus roots once
     per batch of POMs: 15 ``psd_sqrt`` calls, one per dimension for the
-    proposition-1 ensemble and two for the objectivity one.  Neither count
+    proposition-1 ensemble and two for the objectivity one.  The effect
+    commutators whose bounds settle them take no SVD, so the SVDs cover at
+    most 2,100 matrices (3,024 when every commutator took one).  No count
     depends on the machine."""
     roots = count_calls(monkeypatch, linalg, "psd_sqrt")
-    calls = []
+    calls, svd_matrices = [], []
     for name in ("eigh", "eigvalsh", "svd", "qr"):
         original = getattr(np.linalg, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
             calls.append(_name)
+            if _name == "svd":
+                svd_matrices.append(np.prod(np.shape(args[0])[:-2], dtype=int))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -274,6 +281,7 @@ def test_luders_verify_makes_few_lapack_calls(monkeypatch, capsys):
     assert "counterexamples: 0" in capsys.readouterr().out
     assert 0 < len(calls) <= 120, {name: calls.count(name) for name in set(calls)}
     assert len(roots) == 15
+    assert 0 < sum(svd_matrices) <= 2100, sum(svd_matrices)
 
 
 def test_each_ensemble_draws_its_own_streams():
@@ -282,3 +290,17 @@ def test_each_ensemble_draws_its_own_streams():
     dims = [[r.dim for r in run(7, 50, (2, 6))] for run in drivers]
     for i, j in itertools.combinations(range(len(drivers)), 2):
         assert dims[i] != dims[j], (drivers[i].__name__, drivers[j].__name__)
+
+
+def test_ensemble_script_prints_one_row_per_ensemble(monkeypatch, capsys):
+    """``scripts/run_equivalence_ensembles.py`` runs each ensemble once, on
+    its own streams, and exits 0 when every trial agrees."""
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_equivalence_ensembles.py"))
+    monkeypatch.setattr(sys, "argv", ["run_equivalence_ensembles.py", "--seed", "0", "--trials", "5"])
+    with pytest.raises(SystemExit) as exit_:
+        script["main"]()
+    assert exit_.value.code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["ensemble", "ok", "trials", "seconds"]
+    assert [row.rsplit(maxsplit=3)[0] for row in rows] == ["prop1 2-5 outcomes", "objectivity", "annihilation", "sharpness"]
+    assert all(row.split()[-3:-1] == ["5", "5"] for row in rows)
